@@ -1,63 +1,9 @@
 //@ scan-as: crates/graph/src/fixture_cross.rs
-//! Self-test fixture for the pass-2 cross-file rule families. Scoped
-//! as library code of a result-bearing crate, so every family applies:
-//! `unsafe-safety`, `panic-path`, `det-merge`, `det-threads` and
-//! `span-known`. Each family has at least one violating site (with a
-//! `//~` marker) and one compliant twin (without), so the self-test
-//! proves both that the rules fire and that they stay quiet.
-
-// ----- unsafe provenance -------------------------------------------------
-
-/// A doc comment without the magic word does not count as provenance.
-unsafe fn missing_contract(p: *const u32) -> u32 { //~ unsafe-safety
-    *p
-}
-
-// SAFETY: `p` is non-null, aligned and valid for reads per this
-// fixture's (imaginary) caller contract.
-unsafe fn documented_contract(p: *const u32) -> u32 {
-    *p
-}
-
-fn block_sites(xs: &[u32]) -> u32 {
-    let a = unsafe { *xs.as_ptr() }; //~ unsafe-safety
-    // SAFETY: `xs` is non-empty — asserted by every caller above.
-    let b = unsafe { *xs.as_ptr() };
-    a + b
-}
-
-struct Wrapper(*const u32);
-unsafe impl Send for Wrapper {} //~ unsafe-safety
-// SAFETY: the pointee is immutable and `'static` in this fixture.
-unsafe impl Sync for Wrapper {}
-
-struct Wrapper2(*const u32);
-// SAFETY: the raw pointer is never dereferenced; Send/Sync only assert
-// the absence of thread affinity. One comment covers the pair.
-unsafe impl Send for Wrapper2 {}
-unsafe impl Sync for Wrapper2 {}
-
-// ----- panic reachability ------------------------------------------------
-
-fn panics_directly(x: Option<u32>) -> u32 {
-    x.unwrap() //~ no-unwrap
-}
-
-fn reaches_panic_transitively(x: Option<u32>) -> u32 { //~ panic-path
-    panics_directly(x) + 1
-}
-
-fn deeper_caller(x: Option<u32>) -> u32 { //~ panic-path
-    reaches_panic_transitively(x)
-}
-
-fn stays_clean(x: u32) -> u32 {
-    helper_clean(x)
-}
-
-fn helper_clean(x: u32) -> u32 {
-    x.saturating_add(1)
-}
+//! Self-test fixture for the pass-2 cross-file rule families
+//! `det-merge` and `span-known`, scoped as library code. Each family
+//! has violating sites (with a `//~` marker) and compliant twins
+//! (without), so the self-test proves both that the rules fire and
+//! that they stay quiet.
 
 // ----- determinism of parallel merges ------------------------------------
 
@@ -74,18 +20,17 @@ fn sequential_merge_is_fine(xs: &[f64]) -> f64 {
     xs.iter().map(|x| x.abs()).fold(0.0, f64::max)
 }
 
-fn thread_dependent_path(xs: &[f64]) -> usize {
-    let n = current_num_threads(); //~ det-threads
-    xs.len() / n.max(1)
-}
-
-fn thread_independent_path(xs: &[f64]) -> usize {
-    xs.len() / 64
-}
-
 // ----- span-name closure -------------------------------------------------
 
-fn opens_spans() {
+mod stage {
+    pub const KNOWN: &str = "graph.knn";
+    pub const UNREGISTERED: &str = "fixture.const_span";
+}
+
+fn opens_spans(name: &'static str) {
     let _known = span("graph.knn");
     let _new = span("fixture.unknown_span"); //~ span-known
+    let _known_const = span(stage::KNOWN);
+    let _new_const = span(stage::UNREGISTERED); //~ span-known
+    let _dynamic = span(name); // a parameter: out of static reach
 }

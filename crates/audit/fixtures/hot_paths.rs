@@ -10,15 +10,11 @@ fn hot_kernel(xs: &[u64], i: usize, s: usize) -> Vec<u64> {
     out.push(xs[i * s]); //~ hot-alloc //~ hot-overflow
     // alloc: scratch copy a real kernel would hoist to the caller
     let scratch = xs.to_vec();
-    let wide = xs[i] as u128; // widening: not lossy, no finding
-    let narrow = xs[i] as u32; //~ hot-cast
-    // cast: fixture ids are < 2^32 by construction
-    let contracted = xs[s] as u32;
     // bound: i + 1 < xs.len() is checked by the fixture caller
     let bounded = xs[i + 1];
     let guarded = xs[i.checked_mul(s).map_or(0, |p| p + 1)]; // checked_ guard
-    let sum = scratch.len() as u64 + wide as u64 + narrow as u64;
-    out.push(reached_helper(sum + contracted as u64 + bounded + guarded)); //~ hot-alloc
+    let sum = scratch.len() as u64;
+    out.push(reached_helper(sum + bounded + guarded)); //~ hot-alloc
     out
 }
 
@@ -40,11 +36,10 @@ fn fn_level_bound_covers_all_sites(xs: &[u64], i: usize, s: usize) -> u64 {
 }
 
 fn cold_fn(xs: &[u64], i: usize, s: usize) -> u64 {
-    // cold code: allocation, lossy casts and unchecked index
-    // arithmetic are all fine outside the hot set
+    // cold code: allocation and unchecked index arithmetic are fine
+    // outside the hot set
     let v = xs.to_vec();
-    let lossy = xs[0] as u32;
-    v[i * s] + lossy as u64
+    v[i * s]
 }
 
 #[cfg(test)]

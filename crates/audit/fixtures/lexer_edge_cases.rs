@@ -3,16 +3,16 @@
 //! construct that could fool a naive text search — the findings below
 //! must be exactly the marked ones, nothing more.
 
-/* block comment with a.unwrap() inside
-   /* nested block comment: panic!("no") */
-   still commented: println!("no") */
-fn after_comments(x: Option<u32>) -> u32 {
-    x.unwrap() //~ no-unwrap
+/* block comment with a == 1.0 inside
+   /* nested block comment: span("Bad Name") */
+   still commented: b != 2.0 */
+fn after_comments(x: f64) -> bool {
+    x == 0.5 //~ no-float-eq
 }
 
 fn strings_with_hashes() -> String {
-    let raw = r##"r-string with "quotes"# and b.unwrap() and 1.0 == 1.0"##;
-    let bytes = b"byte string with c.expect(\"x\")";
+    let raw = r##"r-string with "quotes"# and span("Bad") and 1.0 == 1.0"##;
+    let bytes = b"byte string with c != 2.0 and span(\"Bad\")";
     let ch = '"'; // a quote character, not a string opener
     let lifetime_ok: &'static str = "lifetimes are not chars";
     format!("{raw}{}{ch}{lifetime_ok}", bytes.len())
@@ -47,27 +47,27 @@ fn lifetimes_vs_char_literals<'a>(s: &'a str) -> usize {
     s.chars().filter(|&c| c == newline || c == tick || c == plain || c == underscore).count()
 }
 
-fn generic_lifetime_bounds<'a, T: 'a>(v: &'a [T], x: Option<&'a T>) -> &'a T {
+fn generic_lifetime_bounds<'a, T: 'a>(v: &'a [T], x: f64) -> Option<&'a T> {
     // lifetime-heavy signature first, then a real violation: if `'a`
     // mislexed as an unterminated char the marker below would not match
-    x.unwrap_or(&v[0]); // unwrap_or is not unwrap: no finding here
-    x.unwrap() //~ no-unwrap
+    v.first().filter(|_| x == 1.0) //~ no-float-eq
 }
 
 #[cfg(test)]
 mod tests {
-    fn nested_braces_stay_excluded(x: Option<u32>) -> u32 {
+    fn nested_braces_stay_excluded(x: Option<f64>) -> bool {
         if let Some(v) = x {
             match v {
-                0 => panic!("fine in tests"),
-                _ => v,
+                _ if v == 0.0 => span("fine in tests"),
+                _ => v != 1.0,
             }
         } else {
-            x.unwrap()
+            false
         }
     }
 }
 
-fn after_the_test_mod(x: Option<u32>) -> u32 {
-    x.expect("region tracking must end at the test mod's closing brace") //~ no-unwrap
+fn after_the_test_mod(x: f64) -> bool {
+    // region tracking must end at the test mod's closing brace
+    x != 3.0 //~ no-float-eq
 }

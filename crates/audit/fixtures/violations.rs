@@ -1,39 +1,14 @@
 //@ scan-as: crates/core/src/fixture.rs
-//! Self-test fixture: one deliberate violation of every audit rule,
-//! each tagged with a `//~ rule-id` marker the self-test matches
-//! exactly. Scoped as library code in a result-bearing crate, so all
-//! six rules apply. This file is never compiled — it only feeds the
-//! audit's own lexer.
-
-use std::collections::HashMap; //~ no-std-hash
-use std::collections::{BTreeMap, HashSet}; //~ no-std-hash
-use std::time::Instant; //~ no-instant
-
-fn unwrap_family(x: Option<u32>) -> u32 {
-    let a = x.unwrap(); //~ no-unwrap
-    let b = x.expect("present"); //~ no-unwrap
-    if a + b == 0 {
-        panic!("zero"); //~ no-unwrap
-    }
-    todo!() //~ no-unwrap
-}
+//! Self-test fixture: deliberate violations of the per-file audit
+//! rules, each tagged with a `//~ rule-id` marker the self-test matches
+//! exactly. Scoped as library code, so both rules apply. This file is
+//! never compiled — it only feeds the audit's own lexer.
 
 fn float_comparisons(x: f64) -> bool {
     let exact = x == 1.0; //~ no-float-eq
     let nonzero = 0.0 != x; //~ no-float-eq
     let sci = x == 1e-6; //~ no-float-eq
     exact || nonzero || sci
-}
-
-fn timing_and_printing() {
-    let t = Instant::now(); //~ no-instant
-    println!("elapsed: {:?}", t.elapsed()); //~ no-print
-    eprintln!("progress"); //~ no-print
-}
-
-fn instantiates_std_hash() {
-    let m: std::collections::HashMap<u32, u32> = Default::default(); //~ no-std-hash
-    let _ = m;
 }
 
 fn badly_named_spans() {
@@ -47,19 +22,17 @@ fn badly_named_spans() {
 // --- negative space: none of the following may produce findings ---
 
 fn fine(x: Option<u32>, y: f64) -> u32 {
-    // a.unwrap() in a comment is not a finding
-    let s = "b.unwrap() in a string is not a finding";
-    let r = r#"c.expect("raw") hidden in a raw string"#;
-    let fallback = x.unwrap_or(0); // unwrap_or is a different method
+    // x == 1.0 in a comment is not a finding
+    let s = "y == 1.0 in a string is not a finding";
+    let r = r#"y != 0.0 hidden in a raw string"#;
+    let fallback = x.unwrap_or(0);
     let int_eq = fallback == 0; // integer equality is fine
     let eps_ok = (y - 1.0).abs() < 1e-9; // epsilon comparison is fine
-    let tree: BTreeMap<u32, u32> = BTreeMap::new(); // BTreeMap is the sanctioned map
-    let set: HashSet<u32> = HashSet::new(); // bare name without std::collections:: path
     let _good_span = span("area.verb"); // conforming span name is fine
     let _shard_span = span("propagate.sweep"); // sharded-engine names conform too
     let _dyn_span = span(s); // non-literal names are out of scope
-    match (s.len(), r.len(), int_eq, eps_ok, tree.len(), set.len()) {
-        (0, 0, true, true, 0, 0) => unreachable!("unreachable! is permitted policy"),
+    match (s.len(), r.len(), int_eq, eps_ok) {
+        (0, 0, true, true) => 0,
         _ => fallback,
     }
 }
@@ -68,9 +41,7 @@ fn fine(x: Option<u32>, y: f64) -> u32 {
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        let x: Option<u32> = Some(1);
-        assert_eq!(x.unwrap(), 1); // exempt: inside #[cfg(test)]
         assert!(1.0 == 1.0); // exempt: float eq in tests
-        println!("tests may print");
+        let _s = span("outer"); // exempt: throwaway names in tests
     }
 }

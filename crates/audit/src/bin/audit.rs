@@ -12,24 +12,28 @@
 //!   crate's manifest, i.e. the repo checkout the binary was built from).
 //! * `--metrics-out <path>` — append the run's metrics
 //!   (`audit.findings`, `audit.rule.<id>`, `audit.files_scanned`,
-//!   `audit.allowlisted`, `audit.allowlist_issues`,
-//!   `audit.unsafe_sites`) as JSONL through `graphner-obs`, so the
-//!   metrics trajectory records lint debt over time.
-//! * `--unsafe-report <path>` — write the `unsafe` provenance
-//!   inventory (every site, its kind, enclosing function and
-//!   `// SAFETY:` justification) collected during a `--workspace` or
-//!   file scan; CI uploads it as a build artifact.
+//!   `audit.hot_fns`) as JSONL through `graphner-obs`, so the metrics
+//!   trajectory records lint debt over time.
 //! * `--hot-report <path>` — write the hot-path inventory: every
 //!   `// hot:`-reachable function with its static alloc-site count,
 //!   plus the `span … static_alloc_sites=<n>` lines the perfsuite
 //!   static↔runtime reconciliation consumes.
-//! * `--github-annotations` — additionally emit each finding and
-//!   allowlist issue as a GitHub Actions workflow command
+//! * `--github-annotations` — additionally emit each finding as a
+//!   GitHub Actions workflow command
 //!   (`::error file=…,line=…,title=…::…`) so CI renders them inline on
 //!   the PR diff.
 //!
 //! Exit status: `0` clean, `1` findings or self-test failures, `2`
 //! usage or I/O errors.
+
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
 
 use graphner_audit::{self_test, workspace_sources, Report};
 use std::path::{Path, PathBuf};
@@ -37,7 +41,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: audit [--root <dir>] [--metrics-out <path>] [--unsafe-report <path>] [--hot-report <path>] [--github-annotations] (--workspace | --self-test | <file.rs>...)"
+        "usage: audit [--root <dir>] [--metrics-out <path>] [--hot-report <path>] [--github-annotations] (--workspace | --self-test | <file.rs>...)"
     );
     ExitCode::from(2)
 }
@@ -47,7 +51,6 @@ fn main() -> ExitCode {
     let mut selftest = false;
     let mut root_override: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
-    let mut unsafe_report: Option<PathBuf> = None;
     let mut hot_report: Option<PathBuf> = None;
     let mut github_annotations = false;
     let mut paths: Vec<PathBuf> = Vec::new();
@@ -63,10 +66,6 @@ fn main() -> ExitCode {
             },
             "--metrics-out" => match args.next() {
                 Some(path) => metrics_out = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
-            "--unsafe-report" => match args.next() {
-                Some(path) => unsafe_report = Some(PathBuf::from(path)),
                 None => return usage(),
             },
             "--hot-report" => match args.next() {
@@ -157,12 +156,6 @@ fn main() -> ExitCode {
                 if github_annotations {
                     print_github_annotations(&report);
                 }
-                if let Some(path) = &unsafe_report {
-                    if let Err(e) = std::fs::write(path, report.render_unsafe_report()) {
-                        eprintln!("audit: cannot write unsafe report to {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
                 if let Some(path) = &hot_report {
                     if let Err(e) = std::fs::write(path, report.hot.render()) {
                         eprintln!("audit: cannot write hot report to {}: {e}", path.display());
@@ -222,16 +215,11 @@ fn print_report(report: &Report) {
     for f in &report.findings {
         println!("{f}");
     }
-    for issue in &report.allowlist_issues {
-        println!("{issue}");
-    }
     let status = if report.is_clean() { "OK" } else { "FAIL" };
     println!(
-        "audit: {status} — {} file(s) scanned, {} finding(s), {} allowlisted, {} allowlist issue(s)",
+        "audit: {status} — {} file(s) scanned, {} finding(s)",
         report.files_scanned,
-        report.findings.len(),
-        report.suppressed.len(),
-        report.allowlist_issues.len()
+        report.findings.len()
     );
 }
 
@@ -245,9 +233,9 @@ fn gh_escape_prop(s: &str) -> String {
     gh_escape(s).replace(':', "%3A").replace(',', "%2C")
 }
 
-/// Emit findings and allowlist issues as GitHub Actions inline
-/// annotations so they render on the PR diff next to the offending
-/// line. Workflow commands go to stdout by design.
+/// Emit findings as GitHub Actions inline annotations so they render
+/// on the PR diff next to the offending line. Workflow commands go to
+/// stdout by design.
 fn print_github_annotations(report: &Report) {
     for f in &report.findings {
         println!(
@@ -256,13 +244,6 @@ fn print_github_annotations(report: &Report) {
             f.line,
             gh_escape_prop(&format!("audit {}", f.rule.id())),
             gh_escape(&f.what)
-        );
-    }
-    for issue in &report.allowlist_issues {
-        println!(
-            "::error file={},title=audit allowlist::{}",
-            gh_escape_prop(graphner_audit::ALLOWLIST_FILE),
-            gh_escape(&issue.to_string())
         );
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! A zero-dependency static-analysis pass with its own lightweight Rust
 //! lexer ([`lexer`]) that walks every workspace `src/` file and
-//! enforces project policy clippy cannot express ([`rules`]), with a
-//! reason-annotated escape hatch for the few justified exceptions
-//! ([`allowlist`]). It is the static counterpart of the runtime
-//! numeric guards in `graphner_core::check`: the audit proves the code
-//! *cannot* panic, print, time, or iterate nondeterministically where
-//! policy forbids it, while the guards prove the numbers flowing
-//! through the pipeline stay on the probability simplex.
+//! enforces the project policy clippy cannot express ([`rules`]):
+//! float-literal equality, the span-name vocabulary, order-safety notes
+//! on parallel merges, and the hot-path allocation and index-arithmetic
+//! contracts. The policy clippy *can* express — panics, hash maps,
+//! clocks, printing, unsafe provenance, thread counts, hot-module
+//! casts — is configured in `[workspace.lints]` and `clippy.toml`, and
+//! justified exceptions are `#[expect(lint, reason = "…")]` attributes
+//! at the site (DESIGN.md §9).
 //!
 //! Run it as `cargo run --release --bin audit -- --workspace` (a
 //! required CI step), or `--self-test` to validate the lexer and rule
 //! engine against fixture files with known violations.
 
-pub mod allowlist;
 pub mod hot;
 pub mod lexer;
 pub mod rules;
@@ -22,15 +22,10 @@ pub mod symbols;
 pub mod symgraph;
 pub mod xrules;
 
-use allowlist::{AllowEntry, AllowlistIssue};
 use rules::{Finding, Rule, ALL_RULES};
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use symbols::FileIndex;
 use xrules::{Mode, SpanRegistry};
-
-/// Name of the allowlist file at the workspace root.
-pub const ALLOWLIST_FILE: &str = "audit-allowlist.txt";
 
 /// Workspace-relative path of the known span-name registry consumed by
 /// the `span-known` rule.
@@ -44,38 +39,13 @@ pub const SCAN_AS: &str = "//@ scan-as:";
 /// (`//~ rule-id`, repeatable on one line).
 pub const EXPECT_MARKER: &str = "//~";
 
-/// One `unsafe` site in the workspace inventory (`--unsafe-report`).
-#[derive(Clone, Debug)]
-pub struct UnsafeRecord {
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// Site kind label (`unsafe-block`, `unsafe-fn`, …).
-    pub kind: &'static str,
-    /// Short source context.
-    pub context: String,
-    /// Innermost enclosing function, if any.
-    pub enclosing_fn: Option<String>,
-    /// The `// SAFETY:` justification, if present.
-    pub safety: Option<String>,
-}
-
 /// Outcome of one audit run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings that survived the allowlist.
+    /// Every finding, pass 1 then pass 2.
     pub findings: Vec<Finding>,
-    /// Findings suppressed by an allowlist entry (finding, entry index
-    /// into the parsed allowlist).
-    pub suppressed: Vec<(Finding, AllowEntry)>,
-    /// Structural or staleness problems with the allowlist itself.
-    pub allowlist_issues: Vec<AllowlistIssue>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Every `unsafe` site encountered, justified or not, in scan
-    /// order — the `--unsafe-report` inventory.
-    pub unsafe_sites: Vec<UnsafeRecord>,
     /// The hot-path inventory (`--hot-report`): hot-reachable functions
     /// with their static alloc-site counts, plus the span mapping the
     /// perfsuite reconciliation consumes.
@@ -83,9 +53,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether the run passes (no findings, clean allowlist).
+    /// Whether the run passes.
     pub fn is_clean(&self) -> bool {
-        self.findings.is_empty() && self.allowlist_issues.is_empty()
+        self.findings.is_empty()
     }
 
     /// Count of surviving findings for `rule`.
@@ -95,8 +65,7 @@ impl Report {
 
     /// Publish the run to the global `graphner-obs` metrics registry:
     /// `audit.findings` (total), `audit.rule.<id>` per rule,
-    /// `audit.files_scanned`, `audit.allowlisted`, and
-    /// `audit.allowlist_issues`.
+    /// `audit.files_scanned` and `audit.hot_fns`.
     pub fn publish_metrics(&self) {
         graphner_obs::counter("audit.findings").add(self.findings.len() as u64);
         for rule in ALL_RULES {
@@ -104,46 +73,9 @@ impl Report {
                 .add(self.count_for(rule) as u64);
         }
         graphner_obs::counter("audit.files_scanned").add(self.files_scanned as u64);
-        graphner_obs::counter("audit.allowlisted").add(self.suppressed.len() as u64);
-        graphner_obs::counter("audit.allowlist_issues").add(self.allowlist_issues.len() as u64);
-        graphner_obs::counter("audit.unsafe_sites").add(self.unsafe_sites.len() as u64);
         graphner_obs::counter("audit.hot_fns").add(self.hot.fns.len() as u64);
     }
-
-    /// Render the `unsafe` inventory as the `--unsafe-report` text: one
-    /// block per site — location, kind, enclosing function, context and
-    /// the (possibly multi-line) justification.
-    pub fn render_unsafe_report(&self) -> String {
-        let mut out = String::new();
-        let justified = self.unsafe_sites.iter().filter(|s| s.safety.is_some()).count();
-        out.push_str(&format!(
-            "# unsafe inventory: {} sites, {} justified, {} missing\n",
-            self.unsafe_sites.len(),
-            justified,
-            self.unsafe_sites.len() - justified
-        ));
-        for site in &self.unsafe_sites {
-            out.push_str(&format!(
-                "\n{}:{} [{}] {}\n",
-                site.path, site.line, site.kind, site.context
-            ));
-            if let Some(f) = &site.enclosing_fn {
-                out.push_str(&format!("  in: fn {f}\n"));
-            }
-            match &site.safety {
-                // comment bodies already carry their `SAFETY:` prefix
-                Some(text) => {
-                    for line in text.lines() {
-                        out.push_str(&format!("  | {line}\n"));
-                    }
-                }
-                None => out.push_str("  ! missing // SAFETY: justification\n"),
-            }
-        }
-        out
-    }
 }
-
 /// Errors from walking or reading the tree.
 #[derive(Debug)]
 pub enum AuditError {
@@ -284,80 +216,19 @@ pub fn load_span_registry(root: &Path) -> Result<Option<SpanRegistry>, AuditErro
 }
 
 /// Run the two-pass audit over `files` (workspace-relative reporting
-/// against `root`), applying the allowlist at `root/audit-allowlist.txt`
-/// if present.
-///
-/// Pass 1 lints each file and builds its symbol index; pass 2 links
-/// the indexes and runs the cross-file rules. Both passes share one
-/// allowlist application, so an entry is stale only if *neither* pass
-/// matched it. `no-unwrap` findings the allowlist suppressed are
-/// documented panic contracts: they are handed to the reachability
-/// walk as inactive sources, so accepting a site does not re-flag
-/// every transitive caller under `panic-path`.
+/// against `root`): pass 1 lints each file and builds its symbol index;
+/// pass 2 links the indexes and runs the cross-file rules.
 pub fn run(root: &Path, files: &[PathBuf]) -> Result<Report, AuditError> {
-    let mut raw_findings = Vec::new();
-    let mut sources: Vec<(String, String)> = Vec::new();
+    let mut findings = Vec::new();
     let mut indexes: Vec<FileIndex> = Vec::new();
     for file in files {
-        let (findings, index, source) = analyze_file(root, file)?;
-        sources.push((relative(root, file), source));
+        let (file_findings, index, _) = analyze_file(root, file)?;
         indexes.push(index);
-        raw_findings.extend(findings);
+        findings.extend(file_findings);
     }
-
-    let allowlist_path = root.join(ALLOWLIST_FILE);
-    let (entries, mut issues) = if allowlist_path.is_file() {
-        allowlist::parse(&read_source(&allowlist_path)?)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-
-    let line_of = |f: &Finding| {
-        sources
-            .iter()
-            .find(|(p, _)| *p == f.path)
-            .and_then(|(_, src)| src.lines().nth(f.line.saturating_sub(1)))
-            .map(str::to_string)
-    };
-    let mut used = vec![false; entries.len()];
-    let (kept1, suppressed1) = allowlist::apply_tracked(raw_findings, &entries, line_of, &mut used);
-
-    let suppressed_sources: BTreeSet<(String, usize)> = suppressed1
-        .iter()
-        .filter(|(f, _)| f.rule == Rule::NoUnwrap)
-        .map(|(f, _)| (f.path.clone(), f.line))
-        .collect();
     let registry = load_span_registry(root)?;
-    let pass2 = xrules::check(&indexes, registry.as_ref(), &suppressed_sources, Mode::Workspace);
-    let (kept2, suppressed2) = allowlist::apply_tracked(pass2, &entries, line_of, &mut used);
-    issues.extend(allowlist::stale_entries(&entries, &used));
-
-    let mut findings = kept1;
-    findings.extend(kept2);
-    let mut suppressed = suppressed1;
-    suppressed.extend(suppressed2);
-    let unsafe_sites = indexes
-        .iter()
-        .flat_map(|ix| {
-            ix.unsafe_sites.iter().map(|s| UnsafeRecord {
-                path: ix.path.clone(),
-                line: s.line,
-                kind: s.kind.label(),
-                context: s.context.clone(),
-                enclosing_fn: s.enclosing_fn.clone(),
-                safety: s.safety.clone(),
-            })
-        })
-        .collect();
-
-    Ok(Report {
-        findings,
-        suppressed: suppressed.into_iter().map(|(f, e)| (f, e.clone())).collect(),
-        allowlist_issues: issues,
-        files_scanned: files.len(),
-        unsafe_sites,
-        hot: hot::inventory(&indexes),
-    })
+    findings.extend(xrules::check(&indexes, registry.as_ref(), Mode::Workspace));
+    Ok(Report { findings, files_scanned: files.len(), hot: hot::inventory(&indexes) })
 }
 
 /// One fixture's self-test outcome.
@@ -396,7 +267,6 @@ pub fn self_test(
         found.extend(xrules::check(
             std::slice::from_ref(&index),
             registry.as_ref(),
-            &BTreeSet::new(),
             Mode::SelfTest,
         ));
         let mut expected: Vec<(Rule, usize)> = Vec::new();
@@ -479,32 +349,25 @@ mod tests {
     }
 
     #[test]
-    fn run_applies_allowlist_and_reports_relative_paths() {
+    fn run_reports_both_passes_with_relative_paths() {
         let root = temp_root("run");
-        let f1 = write(&root, "crates/text/src/a.rs", "fn f() { x.unwrap(); }\n");
-        let f2 = write(&root, "crates/text/src/b.rs", "fn g() { y.unwrap(); }\n");
-        write(
+        let f1 = write(&root, "crates/text/src/a.rs", "fn f(x: f64) -> bool { x == 1.0 }\n");
+        let f2 = write(
             &root,
-            ALLOWLIST_FILE,
-            "no-unwrap | crates/text/src/b.rs | y.unwrap() | documented contract\n",
+            "crates/graph/src/b.rs",
+            "fn g(xs: &[f64]) -> f64 {\n    xs.par_iter().cloned().reduce(|| 0.0, f64::max)\n}\n",
         );
         let report = run(&root, &[f1, f2]).unwrap();
         assert_eq!(report.files_scanned, 2);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].path, "crates/text/src/a.rs");
-        assert_eq!(report.suppressed.len(), 1);
-        assert!(report.allowlist_issues.is_empty());
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn stale_allowlist_entry_fails_the_run() {
-        let root = temp_root("stale");
-        let f1 = write(&root, "crates/text/src/a.rs", "fn f() {}\n");
-        write(&root, ALLOWLIST_FILE, "no-unwrap | crates/text/src/a.rs | gone | obsolete\n");
-        let report = run(&root, &[f1]).unwrap();
-        assert!(report.findings.is_empty());
-        assert_eq!(report.allowlist_issues.len(), 1);
+        let got: Vec<(Rule, &str, usize)> =
+            report.findings.iter().map(|f| (f.rule, f.path.as_str(), f.line)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Rule::NoFloatEq, "crates/text/src/a.rs", 1),
+                (Rule::DetMerge, "crates/graph/src/b.rs", 2)
+            ]
+        );
         assert!(!report.is_clean());
     }
 
@@ -512,11 +375,11 @@ mod tests {
     fn scan_as_header_rescopes_fixture_rules() {
         let root = temp_root("scanas");
         // real path is under fixtures/ (bench-style exempt), but the
-        // header scopes it as library code in a result-bearing crate
+        // header scopes it as library code
         let f = write(
             &root,
             "crates/audit/fixtures/v.rs",
-            "//@ scan-as: crates/core/src/fixture.rs\nfn f() { x.unwrap(); }\n",
+            "//@ scan-as: crates/core/src/fixture.rs\nfn f() { x == 1.0; }\n",
         );
         let (findings, _) = scan_file(&root, &f).unwrap();
         assert_eq!(findings.len(), 1);
@@ -530,7 +393,7 @@ mod tests {
         let good = write(
             &root,
             "crates/audit/fixtures/good.rs",
-            "//@ scan-as: crates/core/src/f.rs\nfn f() { x.unwrap(); } //~ no-unwrap\n",
+            "//@ scan-as: crates/core/src/f.rs\nfn f() { x == 1.0; } //~ no-float-eq\n",
         );
         let (n, expected, failures) = self_test(&root, std::slice::from_ref(&good)).unwrap();
         assert_eq!((n, expected), (1, 1));
@@ -539,83 +402,12 @@ mod tests {
         let bad = write(
             &root,
             "crates/audit/fixtures/bad.rs",
-            "//@ scan-as: crates/core/src/f.rs\nfn f() { x.unwrap(); }\nfn g() {} //~ no-print\n",
+            "//@ scan-as: crates/core/src/f.rs\nfn f() { x == 1.0; }\nfn g() {} //~ span-name\n",
         );
         let (_, _, failures) = self_test(&root, &[bad]).unwrap();
         assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].unexpected.len(), 1); // the unmarked unwrap
-        assert_eq!(failures[0].missing, vec![(Rule::NoPrint, 3)]);
-    }
-
-    #[test]
-    fn run_executes_pass2_rules_and_collects_unsafe_inventory() {
-        let root = temp_root("pass2");
-        let f1 = write(
-            &root,
-            "crates/graph/src/a.rs",
-            "unsafe fn bare(p: *const u32) -> u32 { *p }\n\
-             // SAFETY: `p` is valid per the caller contract.\n\
-             unsafe fn fine(p: *const u32) -> u32 { *p }\n",
-        );
-        let report = run(&root, &[f1]).unwrap();
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].rule, Rule::UnsafeSafety);
-        assert_eq!(report.findings[0].path, "crates/graph/src/a.rs");
-        assert_eq!(report.unsafe_sites.len(), 2);
-        assert!(report.unsafe_sites[0].safety.is_none());
-        assert!(report.unsafe_sites[1].safety.is_some());
-        let rendered = report.render_unsafe_report();
-        assert!(rendered.contains("2 sites, 1 justified, 1 missing"), "{rendered}");
-        assert!(rendered.contains("crates/graph/src/a.rs:1"), "{rendered}");
-        assert!(rendered.contains("! missing // SAFETY: justification"), "{rendered}");
-    }
-
-    #[test]
-    fn allowlisted_contract_suppresses_panic_path_for_callers() {
-        let root = temp_root("contract");
-        let f1 = write(
-            &root,
-            "crates/graph/src/a.rs",
-            "pub fn caller(x: Option<u32>) -> u32 { documented(x) }\n\
-             pub fn documented(x: Option<u32>) -> u32 { x.expect(\"always set\") }\n",
-        );
-        // without the allowlist: the direct site is a finding and the
-        // caller is flagged transitively
-        let report = run(&root, std::slice::from_ref(&f1)).unwrap();
-        let rules: Vec<Rule> = report.findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&Rule::NoUnwrap), "{rules:?}");
-        assert!(rules.contains(&Rule::PanicPath), "{rules:?}");
-        // with it: the documented contract silences both tiers and the
-        // entry is counted used (not stale)
-        write(
-            &root,
-            ALLOWLIST_FILE,
-            "no-unwrap | crates/graph/src/a.rs | x.expect(\"always set\") | contract: field is mandatory\n",
-        );
-        let report = run(&root, &[f1]).unwrap();
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
-        assert!(report.allowlist_issues.is_empty(), "{:?}", report.allowlist_issues);
-        assert_eq!(report.suppressed.len(), 1);
-    }
-
-    #[test]
-    fn pass2_findings_can_be_allowlisted_and_keep_entries_fresh() {
-        let root = temp_root("pass2allow");
-        let f1 = write(
-            &root,
-            "crates/graph/src/a.rs",
-            "pub fn split(len: usize) -> usize { len / current_num_threads() }\n",
-        );
-        write(
-            &root,
-            ALLOWLIST_FILE,
-            "det-threads | crates/graph/src/a.rs | current_num_threads() | diagnostics only, result unused\n",
-        );
-        let report = run(&root, &[f1]).unwrap();
-        assert!(report.findings.is_empty(), "{:?}", report.findings);
-        assert!(report.allowlist_issues.is_empty(), "{:?}", report.allowlist_issues);
-        assert_eq!(report.suppressed.len(), 1);
-        assert_eq!(report.suppressed[0].0.rule, Rule::DetThreads);
+        assert_eq!(failures[0].unexpected.len(), 1); // the unmarked float eq
+        assert_eq!(failures[0].missing, vec![(Rule::SpanName, 3)]);
     }
 
     #[test]

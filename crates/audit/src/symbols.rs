@@ -2,21 +2,20 @@
 //!
 //! The token-pattern rules in [`crate::rules`] see one token at a time;
 //! the cross-file rules in [`crate::xrules`] need *structure*: which
-//! functions exist, what they call, where `unsafe` is asserted and
-//! whether the assertion is justified, which parallel merges touch
-//! floats, and which span names the file mints. This module parses the
-//! token stream (plus the captured comments) into a [`FileIndex`] — a
+//! functions exist, what they call, which parallel merges touch floats,
+//! and which span names the file mints. This module parses the token
+//! stream (plus the captured comments) into a [`FileIndex`] — a
 //! deliberately shallow item model: function items with body extents,
-//! call-expression edges by callee name, panic-source sites, `unsafe`
-//! sites with their `// SAFETY:` provenance, parallel `reduce`/`sum`
-//! sites with their `// det:` annotations, thread-count dependencies,
-//! and literal span names. [`crate::symgraph`] links the per-file
-//! indexes into the workspace symbol graph.
+//! call-expression edges by callee name, allocation and index-arithmetic
+//! sites with their contracts, parallel `reduce`/`sum` sites with their
+//! `// det:` annotations, `const` string items, and span names.
+//! [`crate::symgraph`] links the per-file indexes into the workspace
+//! symbol graph.
 //!
 //! Full name resolution is out of scope by design (the audit is
 //! zero-dep and must stay fast); the linking pass resolves a call edge
 //! only when the callee name is unique across the workspace, which is
-//! exactly the class of edges a panic-reachability walk can trust.
+//! exactly the class of edges a hot-path walk can trust.
 
 use crate::lexer::{tokenize_full, Comment, Token, TokenKind};
 use crate::rules::FileScope;
@@ -29,10 +28,9 @@ const NON_CALL_KEYWORDS: [&str; 28] = [
     "enum", "trait", "unsafe", "await",
 ];
 
-/// The panic family a reachability walk treats as sources: methods
-/// (`.unwrap()` / `.expect()`) and diverging macros.
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
+/// `Option`/`Result` methods that are never calls into the workspace,
+/// even where a workspace fn shares the name (`bench::perf::expect`).
+const OPTION_METHODS: [&str; 2] = ["unwrap", "expect"];
 
 /// Parallel-iterator entry points: a `reduce`/`sum` in the same
 /// statement as one of these merges across chunk boundaries.
@@ -51,25 +49,12 @@ const ALLOC_TYPES: [&str; 3] = ["Vec", "Box", "String"];
 /// Allocating constructor names on [`ALLOC_TYPES`].
 const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
 
-/// Cast targets narrower than the `usize`/`f64` arithmetic hot code
-/// computes in — an `as` cast to one of these can silently truncate.
-const NARROW_CAST_TARGETS: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
 /// One call expression inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CallSite {
     /// Callee name as written (last path segment / method name).
     pub name: String,
     /// 1-based line of the callee token.
-    pub line: usize,
-}
-
-/// One direct panic source inside a function body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PanicSite {
-    /// What was matched (`.unwrap()`, `panic!`, …).
-    pub what: String,
-    /// 1-based line.
     pub line: usize,
 }
 
@@ -81,17 +66,6 @@ pub struct AllocSite {
     /// 1-based line.
     pub line: usize,
     /// Body of the covering `// alloc:` contract, if present.
-    pub annotation: Option<String>,
-}
-
-/// One narrowing `as` cast inside a function body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CastSite {
-    /// Rendered cast (`sim as f32`).
-    pub what: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Body of the covering `// cast:` contract, if present.
     pub annotation: Option<String>,
 }
 
@@ -116,16 +90,8 @@ pub struct FnItem {
     pub line: usize,
     /// Whether the item sits inside a `#[cfg(test)]` region.
     pub is_test: bool,
-    /// Whether this is an `unsafe fn`.
-    pub is_unsafe: bool,
     /// Call expressions in the body, in source order.
     pub calls: Vec<CallSite>,
-    /// Direct panic-family sites in the body, in source order.
-    pub panics: Vec<PanicSite>,
-    /// Bracket-indexing expressions in the body — potential panic
-    /// sites the explicit-source walk cannot prove guarded; surfaced
-    /// in the inventory report, not gated.
-    pub index_sites: usize,
     /// Body of the `// hot:` annotation directly above the `fn` line,
     /// if any — marks this function a hot-path root.
     pub hot: Option<String>,
@@ -134,8 +100,6 @@ pub struct FnItem {
     pub bound: Option<String>,
     /// Allocation call sites in the body, in source order.
     pub alloc_sites: Vec<AllocSite>,
-    /// Narrowing `as` casts in the body, in source order.
-    pub cast_sites: Vec<CastSite>,
     /// Unchecked index-arithmetic sites in the body, in source order.
     pub arith_sites: Vec<ArithSite>,
 }
@@ -148,62 +112,13 @@ impl FnItem {
             name: name.to_string(),
             line,
             is_test: false,
-            is_unsafe: false,
             calls: Vec::new(),
-            panics: Vec::new(),
-            index_sites: 0,
             hot: None,
             bound: None,
             alloc_sites: Vec::new(),
-            cast_sites: Vec::new(),
             arith_sites: Vec::new(),
         }
     }
-}
-
-/// What kind of `unsafe` assertion a site is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnsafeKind {
-    /// An `unsafe { … }` block.
-    Block,
-    /// An `unsafe fn` item.
-    Fn,
-    /// An `unsafe impl` item.
-    Impl,
-    /// An `unsafe trait` declaration.
-    Trait,
-}
-
-impl UnsafeKind {
-    /// Stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            UnsafeKind::Block => "unsafe-block",
-            UnsafeKind::Fn => "unsafe-fn",
-            UnsafeKind::Impl => "unsafe-impl",
-            UnsafeKind::Trait => "unsafe-trait",
-        }
-    }
-}
-
-/// One `unsafe` site with its provenance.
-#[derive(Clone, Debug)]
-pub struct UnsafeSite {
-    /// Site kind.
-    pub kind: UnsafeKind,
-    /// 1-based line of the `unsafe` keyword.
-    pub line: usize,
-    /// Short source context (`fn get`, `impl Send for TaskRef`, or the
-    /// enclosing function of a block).
-    pub context: String,
-    /// Name of the innermost enclosing function, if any.
-    pub enclosing_fn: Option<String>,
-    /// The justification: body of the adjacent `// SAFETY:` comment
-    /// (or `# Safety` doc section), if present. Consecutive unsafe
-    /// items may share one comment — see [`index_file`].
-    pub safety: Option<String>,
-    /// Whether the site sits inside a `#[cfg(test)]` region.
-    pub is_test: bool,
 }
 
 /// One parallel `reduce`/`sum` merge site.
@@ -222,23 +137,16 @@ pub struct DetSite {
     pub is_test: bool,
 }
 
-/// One mention of a thread-count observable.
-#[derive(Clone, Debug)]
-pub struct ThreadSite {
-    /// The identifier matched (`current_num_threads`, …).
-    pub what: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Whether the site sits inside a `#[cfg(test)]` region.
-    pub is_test: bool,
-}
-
-/// One literal span name minted by the file.
+/// One span name minted by the file.
 #[derive(Clone, Debug)]
 pub struct SpanUse {
     /// The literal name (already `area.verb`-shaped — malformed names
-    /// are the `span-name` rule's problem, not this index's).
+    /// are the `span-name` rule's problem, not this index's), or the
+    /// identifier of the `const` the span is minted from.
     pub name: String,
+    /// Whether `name` is a `const` identifier (`span(stage::DECODE)`),
+    /// resolved through [`FileIndex::str_consts`] in pass 2.
+    pub via_const: bool,
     /// 1-based line.
     pub line: usize,
     /// Whether the site sits inside a `#[cfg(test)]` region.
@@ -258,14 +166,12 @@ pub struct FileIndex {
     pub scope: FileScope,
     /// Function items, in source order.
     pub fns: Vec<FnItem>,
-    /// `unsafe` sites, in source order.
-    pub unsafe_sites: Vec<UnsafeSite>,
     /// Parallel merge sites, in source order.
     pub det_sites: Vec<DetSite>,
-    /// Thread-count observables, in source order.
-    pub thread_sites: Vec<ThreadSite>,
-    /// Literal span names, in source order.
+    /// Span names, in source order.
     pub span_uses: Vec<SpanUse>,
+    /// `const NAME: &str = "…";` items, as (identifier, literal).
+    pub str_consts: Vec<(String, String)>,
 }
 
 /// Parse one file into its [`FileIndex`]. `path` decides rule scopes
@@ -280,19 +186,17 @@ pub fn index_file(path: &str, source: &str) -> FileIndex {
     let mut fns = collect_fns(tokens, comments, &in_test);
     let bodies = body_spans(tokens);
     attribute_bodies(tokens, comments, &bodies, &mut fns);
-    let unsafe_sites = collect_unsafe(tokens, comments, &fns, &in_test);
     let det_sites = collect_det(tokens, comments, &in_test);
-    let thread_sites = collect_threads(tokens, &in_test);
     let span_uses = collect_spans(tokens, &bodies, &in_test);
+    let str_consts = collect_str_consts(tokens);
 
     FileIndex {
         path: path.to_string(),
         scope: FileScope::from_path(path),
         fns,
-        unsafe_sites,
         det_sites,
-        thread_sites,
         span_uses,
+        str_consts,
     }
 }
 
@@ -334,7 +238,6 @@ fn collect_fns(
                 let line = tokens[i].line;
                 let mut item = FnItem::synthetic(name, line);
                 item.is_test = in_test(i);
-                item.is_unsafe = i > 0 && tokens[i - 1].is_ident("unsafe");
                 item.hot = annotation_above(comments, line, "hot:");
                 item.bound = annotation_above(comments, line, "bound:");
                 out.push(item);
@@ -369,10 +272,9 @@ fn innermost(spans: &[std::ops::Range<usize>], idx: usize) -> Option<usize> {
     best
 }
 
-/// Second sweep: walk every token once and attribute call sites, panic
-/// sites, indexing expressions, allocation sites, narrowing casts and
-/// index arithmetic to the *innermost* enclosing function (closures
-/// therefore accrue to their defining function).
+/// Second sweep: walk every token once and attribute call sites,
+/// allocation sites and index arithmetic to the *innermost* enclosing
+/// function (closures therefore accrue to their defining function).
 fn attribute_bodies(
     tokens: &[Token],
     comments: &[Comment],
@@ -389,17 +291,9 @@ fn attribute_bodies(
             let next_turbo = tokens.get(i + 1).is_some_and(|t| t.is_op("::"));
             let prev_fn = i > 0 && tokens[i - 1].is_ident("fn");
             let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
-            if next_paren && !prev_fn && !is_keyword_call(name) {
-                if prev_dot && PANIC_METHODS.contains(&name) {
-                    fns[owner]
-                        .panics
-                        .push(PanicSite { what: format!(".{name}()"), line: tok.line });
-                } else {
-                    fns[owner].calls.push(CallSite { name: name.to_string(), line: tok.line });
-                }
-            }
-            if next_bang && PANIC_MACROS.contains(&name) {
-                fns[owner].panics.push(PanicSite { what: format!("{name}!"), line: tok.line });
+            let option_method = prev_dot && OPTION_METHODS.contains(&name);
+            if next_paren && !prev_fn && !is_keyword_call(name) && !option_method {
+                fns[owner].calls.push(CallSite { name: name.to_string(), line: tok.line });
             }
             // hot-alloc capture: `.push(` / `.collect(` / `.collect::<`
             // method forms, `vec!` / `format!` macros, and
@@ -417,26 +311,6 @@ fn attribute_bodies(
                 let annotation = statement_contract(tokens, comments, i, "alloc:");
                 fns[owner].alloc_sites.push(AllocSite { what, line: tok.line, annotation });
             }
-            // hot-cast capture: `expr as <narrow>` where the source is
-            // not a literal (literal casts are compile-time checked).
-            if name == "as" && i > 0 {
-                let src = &tokens[i - 1];
-                let src_name = match &src.kind {
-                    TokenKind::Ident(s) if !is_keyword_call(s) => Some(s.clone()),
-                    TokenKind::Punct(c) if *c == ')' || *c == ']' => Some("(..)".to_string()),
-                    _ => None,
-                };
-                if let (Some(src_name), Some(target)) = (src_name, cast_target(tokens, i)) {
-                    if NARROW_CAST_TARGETS.contains(&target.as_str()) {
-                        let annotation = statement_contract(tokens, comments, i, "cast:");
-                        fns[owner].cast_sites.push(CastSite {
-                            what: format!("{src_name} as {target}"),
-                            line: tok.line,
-                            annotation,
-                        });
-                    }
-                }
-            }
         } else if tok.is_punct('[') && i > 0 {
             // indexing expression: `expr[` — the previous token ends an
             // expression (identifier, close paren/bracket)
@@ -447,7 +321,6 @@ fn attribute_bodies(
                 _ => false,
             };
             if indexes {
-                fns[owner].index_sites += 1;
                 if let Some(site) = index_arith_site(tokens, comments, i) {
                     fns[owner].arith_sites.push(site);
                 }
@@ -489,27 +362,6 @@ fn ctor_owner(tokens: &[Token], i: usize) -> Option<String> {
         j -= 2;
     }
     tokens[j].ident().filter(|n| ALLOC_TYPES.contains(n)).map(str::to_string)
-}
-
-/// The base name of the target type of an `as` cast at ident `i`
-/// (`as u32` → `u32`, `as crate::Foo` → `Foo`); `None` for pointer,
-/// `dyn`, or reference targets.
-fn cast_target(tokens: &[Token], i: usize) -> Option<String> {
-    let mut j = i + 1;
-    let mut last: Option<&str> = None;
-    while let Some(t) = tokens.get(j) {
-        match &t.kind {
-            TokenKind::Ident(name) if name == "dyn" || name == "const" || name == "mut" => {
-                return None
-            }
-            TokenKind::Ident(name) => last = Some(name),
-            TokenKind::Op("::") => {}
-            TokenKind::Punct('*') | TokenKind::Punct('&') => return None,
-            _ => break,
-        }
-        j += 1;
-    }
-    last.map(str::to_string)
 }
 
 /// An [`ArithSite`] for the index expression opening at `open`, if it
@@ -578,66 +430,6 @@ fn matching_bracket(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Whether a comment block's body carries a safety justification.
-fn is_safety_text(body: &str) -> bool {
-    body.contains("SAFETY:") || body.contains("# Safety")
-}
-
-/// Third sweep: `unsafe` sites with their provenance comments.
-///
-/// A site's justification is the contiguous comment block ending on
-/// the line directly above it (or a trailing comment on its own line)
-/// whose body mentions `SAFETY:` (or a `# Safety` doc section). One
-/// comment may cover a *run* of consecutive unsafe items — the idiom
-/// for `unsafe impl Send` / `unsafe impl Sync` pairs — so a site on
-/// the line right after a justified site inherits that justification.
-fn collect_unsafe(
-    tokens: &[Token],
-    comments: &[Comment],
-    fns: &[FnItem],
-    in_test: &dyn Fn(usize) -> bool,
-) -> Vec<UnsafeSite> {
-    let mut sites: Vec<UnsafeSite> = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        if !tok.is_ident("unsafe") {
-            continue;
-        }
-        let next = tokens.get(i + 1);
-        let kind = match next {
-            Some(t) if t.is_punct('{') => UnsafeKind::Block,
-            Some(t) if t.is_ident("fn") => UnsafeKind::Fn,
-            Some(t) if t.is_ident("impl") => UnsafeKind::Impl,
-            Some(t) if t.is_ident("trait") => UnsafeKind::Trait,
-            _ => continue, // `unsafe` in other positions (e.g. extern blocks)
-        };
-        let line = tok.line;
-        let enclosing_fn = enclosing_fn_name(fns, line, kind);
-        let context = match kind {
-            UnsafeKind::Block => enclosing_fn
-                .as_deref()
-                .map(|f| format!("block in fn {f}"))
-                .unwrap_or_else(|| "block at file scope".to_string()),
-            _ => render_context(tokens, i + 1),
-        };
-        let safety = adjacent_safety(comments, line).or_else(|| {
-            // one comment may justify a run of consecutive `unsafe
-            // impl` items (the Send/Sync pair idiom) — but only impls:
-            // fns and blocks each need their own contract
-            sites
-                .last()
-                .filter(|prev| {
-                    kind == UnsafeKind::Impl
-                        && prev.kind == UnsafeKind::Impl
-                        && prev.line + 1 == line
-                        && prev.safety.is_some()
-                })
-                .and_then(|prev| prev.safety.clone())
-        });
-        sites.push(UnsafeSite { kind, line, context, enclosing_fn, safety, is_test: in_test(i) });
-    }
-    sites
-}
-
 /// The joined body of the contiguous comment block ending on the line
 /// directly above `line` (empty when there is none).
 fn block_above(comments: &[Comment], line: usize) -> String {
@@ -653,23 +445,6 @@ fn block_above(comments: &[Comment], line: usize) -> String {
     }
     block.reverse();
     block.iter().map(|c| c.body()).collect::<Vec<_>>().join("\n")
-}
-
-/// The body of the comment block justifying a site at `line`, if any:
-/// a contiguous run of comments ending on `line - 1`, or a trailing
-/// comment on `line` itself.
-fn adjacent_safety(comments: &[Comment], line: usize) -> Option<String> {
-    let above = block_above(comments, line);
-    if !above.is_empty() && is_safety_text(&above) {
-        return Some(above);
-    }
-    let trailing = comments.iter().find(|c| c.line == line)?;
-    let body = trailing.body();
-    if is_safety_text(body) {
-        Some(body.to_string())
-    } else {
-        None
-    }
 }
 
 /// The text following `key` on a line of the comment block directly
@@ -708,35 +483,7 @@ fn statement_contract(
         .find_map(|c| find_key(c.body()))
 }
 
-/// Innermost function whose lines plausibly contain `line` — used only
-/// for report context, so a line-based containment test (definition
-/// line ≤ site line, nearest definition wins) is enough.
-fn enclosing_fn_name(fns: &[FnItem], line: usize, kind: UnsafeKind) -> Option<String> {
-    if matches!(kind, UnsafeKind::Fn) {
-        // the site *is* the fn — name it directly via the nearest item
-        // defined on this line
-        return fns.iter().find(|f| f.line == line).map(|f| f.name.clone());
-    }
-    fns.iter().rfind(|f| f.line <= line).map(|f| f.name.clone())
-}
-
-/// Render a short context snippet from `tokens[start..]` up to the
-/// item's opening brace (capped so reports stay one-line).
-fn render_context(tokens: &[Token], start: usize) -> String {
-    let mut parts = Vec::new();
-    for t in tokens.iter().skip(start).take(12) {
-        match &t.kind {
-            TokenKind::Ident(s) => parts.push(s.clone()),
-            TokenKind::Op(o) => parts.push((*o).to_string()),
-            TokenKind::Punct('{') | TokenKind::Punct(';') => break,
-            TokenKind::Punct(c) => parts.push(c.to_string()),
-            _ => parts.push("…".to_string()),
-        }
-    }
-    parts.join(" ")
-}
-
-/// Fourth sweep: parallel `reduce`/`sum` merge sites and their
+/// Third sweep: parallel `reduce`/`sum` merge sites and their
 /// `// det:` annotations.
 fn collect_det(
     tokens: &[Token],
@@ -807,23 +554,10 @@ fn scan_statement_back(tokens: &[Token], from: usize) -> (usize, bool) {
     (first_line, parallel)
 }
 
-/// Fifth sweep: thread-count observables.
-fn collect_threads(tokens: &[Token], in_test: &dyn Fn(usize) -> bool) -> Vec<ThreadSite> {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.is_ident("current_num_threads") || t.is_ident("available_parallelism"))
-        .map(|(i, t)| ThreadSite {
-            what: t.ident().unwrap_or_default().to_string(),
-            line: t.line,
-            is_test: in_test(i),
-        })
-        .collect()
-}
-
-/// Sixth sweep: literal span names (well-shaped only — malformed names
-/// belong to the `span-name` rule), each attributed to the innermost
-/// enclosing function for the hot report's span section.
+/// Fourth sweep: span names (well-shaped literals only — malformed names
+/// belong to the `span-name` rule — plus `const` references such as
+/// `span(stage::DECODE)`), each attributed to the innermost enclosing
+/// function for the hot report's span section.
 fn collect_spans(
     tokens: &[Token],
     bodies: &[std::ops::Range<usize>],
@@ -838,14 +572,65 @@ fn collect_spans(
         if !tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
             continue;
         }
-        let Some(lit) = tokens.get(i + 2).and_then(Token::str_lit) else { continue };
-        if crate::rules::valid_span_name(lit) {
-            out.push(SpanUse {
-                name: lit.to_string(),
-                line: tok.line,
-                is_test: in_test(i),
-                fn_index: innermost(bodies, i),
-            });
+        let (name, via_const) = match tokens.get(i + 2).and_then(Token::str_lit) {
+            Some(lit) if crate::rules::valid_span_name(lit) => (lit, false),
+            Some(_) => continue,
+            None => match const_argument(tokens, i + 2) {
+                Some(ident) => (ident, true),
+                None => continue,
+            },
+        };
+        out.push(SpanUse {
+            name: name.to_string(),
+            via_const,
+            line: tok.line,
+            is_test: in_test(i),
+            fn_index: innermost(bodies, i),
+        });
+    }
+    out
+}
+
+/// The final segment of a `SCREAMING_CASE` path argument starting at
+/// token `at` (`stage::DECODE` → `DECODE`), if the argument is exactly
+/// that path. Lower-case names are locals or parameters, which no
+/// static pass can resolve.
+fn const_argument(tokens: &[Token], at: usize) -> Option<&str> {
+    let mut j = at;
+    let mut last = None;
+    while let Some(t) = tokens.get(j) {
+        match &t.kind {
+            TokenKind::Ident(name) => last = Some(name.as_str()),
+            TokenKind::Op("::") => {}
+            TokenKind::Punct(')') | TokenKind::Punct(',') => break,
+            _ => return None,
+        }
+        j += 1;
+    }
+    last.filter(|n| n.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+}
+
+/// Fifth sweep: `const NAME: <type> = "literal";` items.
+fn collect_str_consts(tokens: &[Token]) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        if !tok.is_ident("const") {
+            continue;
+        }
+        let Some(name) = tokens.get(i + 1).and_then(Token::ident) else { continue };
+        if !tokens.get(i + 2).is_some_and(|t| t.is_punct(':')) {
+            continue;
+        }
+        let Some(eq) = tokens[i..].iter().position(|t| t.is_punct('=') || t.is_punct(';')) else {
+            continue;
+        };
+        let eq = i + eq;
+        let ends = tokens.get(eq + 2).is_some_and(|t| t.is_punct(';'));
+        match tokens.get(eq + 1).and_then(Token::str_lit) {
+            Some(lit) if tokens[eq].is_punct('=') && ends => {
+                out.push((name.to_string(), lit.to_string()));
+            }
+            _ => {}
         }
     }
     out
@@ -860,18 +645,16 @@ mod tests {
     }
 
     #[test]
-    fn fn_items_calls_and_panics() {
-        let src = "fn a(x: Option<u32>) -> u32 {\n b(x.unwrap())\n}\nfn b(v: u32) -> u32 {\n helper(v); panic!(\"no\")\n}\nfn helper(v: u32) -> u32 { v }";
+    fn fn_items_and_calls_skip_option_methods() {
+        let src = "fn a(x: Option<u32>) -> u32 {\n b(x.unwrap())\n}\nfn b(v: u32) -> u32 {\n helper(v); expect(v)\n}\nfn helper(v: u32) -> u32 { v }";
         let ix = idx(src);
         assert_eq!(ix.fns.len(), 3);
         let a = &ix.fns[0];
         assert_eq!(a.name, "a");
         assert_eq!(a.calls.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(), vec!["b"]);
-        assert_eq!(a.panics.len(), 1);
-        assert_eq!(a.panics[0].what, ".unwrap()");
         let b = &ix.fns[1];
-        assert_eq!(b.calls.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(), vec!["helper"]);
-        assert_eq!(b.panics[0].what, "panic!");
+        let calls: Vec<&str> = b.calls.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(calls, vec!["helper", "expect"]);
     }
 
     #[test]
@@ -885,67 +668,6 @@ mod tests {
         let nested = &ix.fns[1];
         assert_eq!(nested.name, "nested");
         assert!(nested.calls.iter().any(|c| c.name == "nested_call"));
-    }
-
-    #[test]
-    fn indexing_is_counted_not_collected() {
-        let src = "fn f(xs: &[u32], i: usize) -> u32 {\n let a = xs[i];\n let b = [0u32; 4];\n a + b[0]\n}";
-        let ix = idx(src);
-        // `xs[i]` and `b[0]` index; `[0u32; 4]` is an array literal
-        assert_eq!(ix.fns[0].index_sites, 2);
-    }
-
-    #[test]
-    fn unsafe_sites_with_and_without_safety() {
-        let src = "\
-// SAFETY: the pointer is valid for the call.\n\
-unsafe fn justified(p: *const u32) -> u32 { *p }\n\
-unsafe fn bare(p: *const u32) -> u32 { *p }\n\
-fn body() {\n\
-    // SAFETY: slot is in bounds.\n\
-    let _ = unsafe { raw() };\n\
-    let _ = unsafe { raw() };\n\
-}\n";
-        let ix = idx(src);
-        assert_eq!(ix.unsafe_sites.len(), 4);
-        assert!(ix.unsafe_sites[0].safety.is_some());
-        assert_eq!(ix.unsafe_sites[0].kind, UnsafeKind::Fn);
-        assert!(ix.unsafe_sites[1].safety.is_none());
-        assert!(ix.unsafe_sites[2].safety.is_some());
-        assert_eq!(ix.unsafe_sites[2].kind, UnsafeKind::Block);
-        assert_eq!(ix.unsafe_sites[2].enclosing_fn.as_deref(), Some("body"));
-        // blocks never inherit from a preceding site — each needs its
-        // own contract
-        assert!(ix.unsafe_sites[3].safety.is_none());
-    }
-
-    #[test]
-    fn unsafe_impl_pair_shares_one_comment() {
-        let src = "\
-struct W(*const u32);\n\
-// SAFETY: the pointee is never mutated.\n\
-unsafe impl Send for W {}\n\
-unsafe impl Sync for W {}\n\
-unsafe impl Other for W {}\n";
-        let ix = idx(src);
-        assert!(ix.unsafe_sites[0].safety.is_some());
-        assert!(ix.unsafe_sites[1].safety.is_some(), "consecutive site inherits");
-        // line 5 follows line 4 which inherited → chains
-        assert!(ix.unsafe_sites[2].safety.is_some());
-        assert!(ix.unsafe_sites[0].context.contains("impl Send for W"));
-    }
-
-    #[test]
-    fn doc_safety_section_counts() {
-        let src = "\
-/// Does raw things.\n\
-///\n\
-/// # Safety\n\
-///\n\
-/// `p` must be valid.\n\
-unsafe fn documented(p: *const u32) -> u32 { *p }\n";
-        let ix = idx(src);
-        assert!(ix.unsafe_sites[0].safety.is_some());
     }
 
     #[test]
@@ -991,25 +713,29 @@ fn grad(data: &[u32]) -> u32 {\n\
     }
 
     #[test]
-    fn thread_and_span_collection() {
+    fn span_collection_literals_and_consts() {
         let src = "\
-fn f() {\n\
-    let n = current_num_threads();\n\
+mod stage { pub const DECODE: &str = \"test.decode\"; }\n\
+const NOT_A_STR: usize = 3;\n\
+fn f(tag: &'static str) {\n\
     let _s = span(\"graph.knn\");\n\
     let _bad = span(\"NotValid\");\n\
-    let _ = n;\n\
+    let _c = span(stage::DECODE);\n\
+    let _d = span(tag);\n\
 }\n\
 #[cfg(test)]\n\
 mod tests {\n\
-    fn t() { let _ = current_num_threads(); span(\"x.y\"); }\n\
+    fn t() { span(\"x.y\"); }\n\
 }\n";
         let ix = idx(src);
-        assert_eq!(ix.thread_sites.len(), 2);
-        assert!(!ix.thread_sites[0].is_test);
-        assert!(ix.thread_sites[1].is_test);
-        // malformed names are excluded; test-region spans flagged as such
-        let names: Vec<(&str, bool)> =
-            ix.span_uses.iter().map(|s| (s.name.as_str(), s.is_test)).collect();
-        assert_eq!(names, vec![("graph.knn", false), ("x.y", true)]);
+        // malformed and dynamic names are excluded; test-region spans
+        // flagged as such
+        let names: Vec<(&str, bool, bool)> =
+            ix.span_uses.iter().map(|s| (s.name.as_str(), s.via_const, s.is_test)).collect();
+        assert_eq!(
+            names,
+            vec![("graph.knn", false, false), ("DECODE", true, false), ("x.y", false, true)]
+        );
+        assert_eq!(ix.str_consts, vec![("DECODE".to_string(), "test.decode".to_string())]);
     }
 }

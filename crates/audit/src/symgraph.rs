@@ -1,18 +1,16 @@
 //! The workspace symbol graph: pass-1 [`FileIndex`]es linked into one
-//! call graph, plus the transitive panic-reachability walk over it.
+//! call graph, plus the hot-path reachability walks over it.
 //!
 //! Linking is deliberately conservative: a call edge resolves only
 //! when the callee name is **unique** across all indexed library
 //! functions. Ambiguous names (`new`, `len`, trait methods with many
 //! impls) resolve to nothing — a missed edge can only under-report
 //! reachability, never fabricate a finding, which is the right failure
-//! direction for a gating rule. The per-site `no-unwrap` rule remains
-//! the exhaustive backstop for *direct* panics; this walk adds the
-//! cross-function dimension it cannot see.
+//! direction for a gating rule.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::symbols::{FileIndex, PanicSite};
+use crate::symbols::FileIndex;
 
 /// A global function id: (file index, fn index within that file).
 pub type FnId = (usize, usize);
@@ -57,15 +55,6 @@ const STD_SHADOWED: [&str; 32] = [
     "zip",
 ];
 
-/// How a function reaches a panic, if it does.
-#[derive(Clone, Debug)]
-pub enum Reach {
-    /// The body contains an active panic source itself.
-    Direct(PanicSite),
-    /// A resolved callee reaches one.
-    Via(FnId),
-}
-
 /// How a function enters the hot-reachable set.
 #[derive(Clone, Debug)]
 pub enum HotReach {
@@ -109,76 +98,9 @@ impl<'a> SymbolGraph<'a> {
         }
     }
 
-    /// Number of call edges that resolved during the last walk-free
-    /// count (diagnostic for reports).
-    pub fn resolved_edge_count(&self) -> usize {
-        self.files
-            .iter()
-            .enumerate()
-            .flat_map(|(fi, f)| f.fns.iter().enumerate().map(move |(gi, g)| ((fi, gi), g)))
-            .filter(|((_, _), g)| !g.is_test)
-            .flat_map(|(id, g)| {
-                g.calls.iter().filter_map(move |c| self.resolve(&c.name).filter(|&t| t != id))
-            })
-            .count()
-    }
-
-    /// Transitive panic reachability over the resolved call graph.
-    ///
-    /// `source_active(path, line)` decides whether a direct panic site
-    /// seeds the walk — the caller passes the allowlist here, so a
-    /// site whose contract is documented and accepted does not taint
-    /// its callers. Only functions in `no-unwrap` scope (library code
-    /// of non-exempt crates) carry direct sources; every library
-    /// function can still *reach* one through calls.
-    pub fn panic_reachability(
-        &self,
-        source_active: &dyn Fn(&str, usize) -> bool,
-    ) -> BTreeMap<FnId, Reach> {
-        let mut reach: BTreeMap<FnId, Reach> = BTreeMap::new();
-        // Seed with direct sources.
-        for (fi, file) in self.files.iter().enumerate() {
-            if !file.scope.unwrap_checked() {
-                continue;
-            }
-            for (gi, f) in file.fns.iter().enumerate() {
-                if f.is_test {
-                    continue;
-                }
-                if let Some(site) = f.panics.iter().find(|p| source_active(&file.path, p.line)) {
-                    reach.insert((fi, gi), Reach::Direct(site.clone()));
-                }
-            }
-        }
-        // Fixpoint: propagate backwards over resolved call edges.
-        loop {
-            let mut changed = false;
-            for (fi, file) in self.files.iter().enumerate() {
-                for (gi, f) in file.fns.iter().enumerate() {
-                    let id = (fi, gi);
-                    if f.is_test || reach.contains_key(&id) {
-                        continue;
-                    }
-                    let hit = f.calls.iter().find_map(|c| {
-                        self.resolve(&c.name).filter(|t| *t != id && reach.contains_key(t))
-                    });
-                    if let Some(target) = hit {
-                        reach.insert(id, Reach::Via(target));
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        reach
-    }
-
     /// The hot-reachable function set: a *forward* fixpoint from every
-    /// `// hot:`-annotated library function over resolved call edges —
-    /// the mirror image of [`Self::panic_reachability`], which walks
-    /// callee→caller. A missed (ambiguous or std-shadowed) edge leaves
+    /// `// hot:`-annotated library function over resolved call edges.
+    /// A missed (ambiguous or std-shadowed) edge leaves
     /// a callee out of the hot set, so the hot-path rules can only
     /// under-report; they never fabricate a hot function.
     pub fn hot_reachability(&self) -> BTreeMap<FnId, HotReach> {
@@ -253,36 +175,6 @@ impl<'a> SymbolGraph<'a> {
         parts.reverse();
         parts.join(" -> ")
     }
-
-    /// The name of the function `id` points at (for reports).
-    pub fn name_of(&self, id: FnId) -> &str {
-        &self.files[id.0].fns[id.1].name
-    }
-
-    /// Render the call chain from `id` down to its direct panic site,
-    /// e.g. `a → b → c: panic! at crates/x/src/y.rs:12`.
-    pub fn render_path(&self, id: FnId, reach: &BTreeMap<FnId, Reach>) -> String {
-        let mut parts = Vec::new();
-        let mut cur = id;
-        loop {
-            let (fi, gi) = cur;
-            let f = &self.files[fi].fns[gi];
-            parts.push(f.name.clone());
-            match reach.get(&cur) {
-                Some(Reach::Via(next)) if parts.len() <= self.by_name.len() => cur = *next,
-                Some(Reach::Direct(site)) => {
-                    return format!(
-                        "{}: {} at {}:{}",
-                        parts.join(" -> "),
-                        site.what,
-                        self.files[fi].path,
-                        site.line
-                    );
-                }
-                _ => return parts.join(" -> "),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -290,80 +182,35 @@ mod tests {
     use super::*;
     use crate::symbols::index_file;
 
-    fn graph_of(sources: &[(&str, &str)]) -> Vec<FileIndex> {
-        sources.iter().map(|(p, s)| index_file(p, s)).collect()
-    }
-
     #[test]
-    fn cross_file_reachability_with_path() {
-        let files = graph_of(&[
-            (
+    fn cross_file_hot_reachability_with_path() {
+        let files = vec![
+            index_file(
                 "crates/graph/src/a.rs",
-                "pub fn entry(x: Option<u32>) -> u32 { middle(x) }\n",
+                "// hot: entry\npub fn entry(x: u32) -> u32 { middle(x) }\n",
             ),
-            (
+            index_file(
                 "crates/core/src/b.rs",
-                "pub fn middle(x: Option<u32>) -> u32 { sink(x) }\npub fn sink(x: Option<u32>) -> u32 { x.unwrap() }\n",
+                "pub fn middle(x: u32) -> u32 { sink(x) }\npub fn sink(x: u32) -> u32 { x }\npub fn cold() {}\n",
             ),
-        ]);
+        ];
         let g = SymbolGraph::link(&files);
-        let reach = g.panic_reachability(&|_, _| true);
-        assert!(matches!(reach.get(&(1, 1)), Some(Reach::Direct(_))));
-        assert!(matches!(reach.get(&(1, 0)), Some(Reach::Via(_))));
-        assert!(matches!(reach.get(&(0, 0)), Some(Reach::Via(_))));
-        let path = g.render_path((0, 0), &reach);
-        assert!(path.starts_with("entry -> middle -> sink: .unwrap() at"), "{path}");
-        assert!(path.ends_with("crates/core/src/b.rs:2"), "{path}");
+        let reach = g.hot_reachability();
+        assert!(matches!(reach.get(&(0, 0)), Some(HotReach::Root(_))));
+        assert!(matches!(reach.get(&(1, 1)), Some(HotReach::Via((1, 0)))));
+        assert!(!reach.contains_key(&(1, 2)));
+        assert_eq!(g.render_hot_path((1, 1), &reach), "entry -> middle -> sink");
     }
 
     #[test]
-    fn suppressed_sources_do_not_seed_the_walk() {
-        let files = graph_of(&[(
-            "crates/graph/src/a.rs",
-            "pub fn caller(x: Option<u32>) -> u32 { documented(x) }\npub fn documented(x: Option<u32>) -> u32 { x.expect(\"contract\") }\n",
-        )]);
+    fn ambiguous_and_std_shadowed_names_do_not_resolve() {
+        let files = vec![
+            index_file("crates/graph/src/a.rs", "pub fn helper() {}\npub fn collect() {}\n"),
+            index_file("crates/core/src/b.rs", "pub fn helper() {}\npub fn unique() {}\n"),
+        ];
         let g = SymbolGraph::link(&files);
-        let reach = g.panic_reachability(&|_, line| line != 2);
-        assert!(reach.is_empty());
-    }
-
-    #[test]
-    fn ambiguous_names_do_not_link() {
-        let files = graph_of(&[
-            ("crates/graph/src/a.rs", "pub fn helper() { panic!(\"a\") }\n"),
-            ("crates/core/src/b.rs", "pub fn helper() {}\npub fn caller() { helper() }\n"),
-        ]);
-        let g = SymbolGraph::link(&files);
-        let reach = g.panic_reachability(&|_, _| true);
-        // both helpers share a name → the call edge stays unresolved
-        assert!(matches!(reach.get(&(0, 0)), Some(Reach::Direct(_))));
-        assert!(!reach.contains_key(&(1, 1)));
-    }
-
-    #[test]
-    fn test_functions_and_exempt_crates_carry_no_sources() {
-        let files = graph_of(&[
-            (
-                "crates/graph/src/a.rs",
-                "#[cfg(test)]\nmod tests {\n fn t() { panic!(\"test only\") }\n}\n",
-            ),
-            ("crates/bench/src/b.rs", "pub fn bench_helper() { panic!(\"exempt crate\") }\n"),
-        ]);
-        let g = SymbolGraph::link(&files);
-        let reach = g.panic_reachability(&|_, _| true);
-        assert!(reach.is_empty());
-    }
-
-    #[test]
-    fn recursion_terminates() {
-        let files = graph_of(&[(
-            "crates/graph/src/a.rs",
-            "pub fn ping(n: u32) -> u32 { if n == 0 { boom() } else { pong(n - 1) } }\npub fn pong(n: u32) -> u32 { ping(n) }\npub fn boom() -> u32 { panic!(\"base\") }\n",
-        )]);
-        let g = SymbolGraph::link(&files);
-        let reach = g.panic_reachability(&|_, _| true);
-        assert_eq!(reach.len(), 3);
-        let path = g.render_path((0, 0), &reach);
-        assert!(path.contains("boom"), "{path}");
+        assert_eq!(g.resolve("helper"), None);
+        assert_eq!(g.resolve("collect"), None);
+        assert_eq!(g.resolve("unique"), Some((1, 1)));
     }
 }

@@ -1,37 +1,28 @@
 //! Pass 2: cross-file rules over the linked symbol graph.
 //!
-//! Four rule families, each consuming the pass-1 [`FileIndex`]es:
+//! Three rule families, each consuming the pass-1 [`FileIndex`]es:
 //!
-//! * `unsafe-safety` — every `unsafe` site (block, fn, impl, trait)
-//!   anywhere in the scanned tree must carry an adjacent `// SAFETY:`
-//!   comment (or a `# Safety` doc section). Test code included: an
-//!   unjustified `unsafe` in a test is still unjustified.
-//! * `panic-path` — no library function of a result-bearing crate may
-//!   transitively reach a panic source through resolved call edges.
-//!   Allowlist-suppressed `no-unwrap` sites are *documented contracts*
-//!   and do not seed the walk, so accepting a site once does not
-//!   re-flag every caller.
-//! * `det-merge` / `det-threads` — determinism lints: parallel
-//!   `reduce`/`sum` merges need a `// det: <why order-safe>`
-//!   annotation in their statement, and nothing outside `vendor/rayon`
-//!   and `bench` may observe the thread count at all.
-//! * `span-known` — every well-shaped span name literal must appear in
+//! * `det-merge` — parallel `reduce`/`sum` merges need a
+//!   `// det: <why order-safe>` annotation in their statement.
+//! * `span-known` — every well-shaped span name, whether a literal or
+//!   a `const` (`span(stage::DECODE)`), must appear in
 //!   `crates/audit/span-names.txt`, and (workspace mode only) every
 //!   non-`[fixture]` entry there must still be used somewhere, so the
 //!   registry can't rot in either direction.
-//! * `hot-alloc` / `hot-cast` / `hot-overflow` — the hot-path families
+//! * `hot-alloc` / `hot-overflow` — the hot-path families
 //!   ([`crate::hot`]), which run only inside the `// hot:`-rooted
 //!   reachable set of the same symbol graph.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::rules::{Finding, Rule};
 use crate::symbols::FileIndex;
-use crate::symgraph::{Reach, SymbolGraph};
+use crate::symgraph::SymbolGraph;
 
-/// Crates whose behaviour may legitimately depend on the thread count:
-/// the pool implements it, the bench harness reports it.
-const THREAD_EXEMPT_CRATES: [&str; 2] = ["rayon", "bench"];
+/// Crates exempt from `det-merge`: `vendor/rayon` implements the
+/// merges themselves (its `reduce` is the ordered combiner, not a user
+/// of one) and bench binaries don't publish results.
+const MERGE_EXEMPT_CRATES: [&str; 2] = ["rayon", "bench"];
 
 /// The parsed known-span registry (`crates/audit/span-names.txt`).
 #[derive(Clone, Debug, Default)]
@@ -89,22 +80,13 @@ pub enum Mode {
     SelfTest,
 }
 
-/// Run every pass-2 rule. `suppressed_sources` holds `(path, line)`
-/// pairs of allowlist-accepted `no-unwrap` findings — documented panic
-/// contracts that must not seed the reachability walk. `registry` is
-/// `None` when no `span-names.txt` exists (scratch trees in unit
-/// tests); the span-closure rule is skipped entirely then rather than
-/// flagging every name against an empty set.
-pub fn check(
-    files: &[FileIndex],
-    registry: Option<&SpanRegistry>,
-    suppressed_sources: &BTreeSet<(String, usize)>,
-    mode: Mode,
-) -> Vec<Finding> {
+/// Run every pass-2 rule. `registry` is `None` when no
+/// `span-names.txt` exists (scratch trees in unit tests); the
+/// span-closure rule is skipped entirely then rather than flagging
+/// every name against an empty set.
+pub fn check(files: &[FileIndex], registry: Option<&SpanRegistry>, mode: Mode) -> Vec<Finding> {
     let mut findings = Vec::new();
     let graph = SymbolGraph::link(files);
-    check_unsafe(files, &mut findings);
-    check_panic_paths(files, &graph, suppressed_sources, &mut findings);
     check_det(files, &mut findings);
     crate::hot::check(files, &graph, &mut findings);
     if let Some(registry) = registry {
@@ -113,19 +95,21 @@ pub fn check(
     findings
 }
 
-/// `unsafe-safety`: unjustified unsafe sites, everywhere.
-fn check_unsafe(files: &[FileIndex], findings: &mut Vec<Finding>) {
+/// `det-merge`: unannotated parallel merges outside the exempt crates.
+fn check_det(files: &[FileIndex], findings: &mut Vec<Finding>) {
     for file in files {
-        for site in &file.unsafe_sites {
-            if site.safety.is_none() {
+        if MERGE_EXEMPT_CRATES.contains(&file.scope.crate_name.as_str()) {
+            continue;
+        }
+        for site in &file.det_sites {
+            if site.parallel && !site.is_test && site.annotation.is_none() {
                 findings.push(Finding {
-                    rule: Rule::UnsafeSafety,
+                    rule: Rule::DetMerge,
                     path: file.path.clone(),
                     line: site.line,
                     what: format!(
-                        "{} ({}) without a // SAFETY: comment",
-                        site.kind.label(),
-                        site.context
+                        "parallel .{}() merge without a // det: order-safety note",
+                        site.op
                     ),
                 });
             }
@@ -133,99 +117,41 @@ fn check_unsafe(files: &[FileIndex], findings: &mut Vec<Finding>) {
     }
 }
 
-/// `panic-path`: result-bearing library fns that reach a panic through
-/// calls. Functions with an *active direct* source are already flagged
-/// by `no-unwrap` — this rule reports only the transitive tier, so one
-/// bad sink yields one per-site finding plus one finding per caller,
-/// not two findings for the sink itself.
-fn check_panic_paths(
-    files: &[FileIndex],
-    graph: &SymbolGraph<'_>,
-    suppressed_sources: &BTreeSet<(String, usize)>,
-    findings: &mut Vec<Finding>,
-) {
-    let active = |path: &str, line: usize| !suppressed_sources.contains(&(path.to_string(), line));
-    let reach = graph.panic_reachability(&active);
-    for (&(fi, gi), r) in &reach {
-        let Reach::Via(_) = r else { continue };
-        let file = &files[fi];
-        if !file.scope.result_bearing() || file.scope.is_binary {
-            continue;
-        }
-        let f = &file.fns[gi];
-        findings.push(Finding {
-            rule: Rule::PanicPath,
-            path: file.path.clone(),
-            line: f.line,
-            what: format!("fn {} can panic: {}", f.name, graph.render_path((fi, gi), &reach)),
-        });
-    }
-}
-
-/// `det-merge` + `det-threads`.
-fn check_det(files: &[FileIndex], findings: &mut Vec<Finding>) {
-    for file in files {
-        let crate_name = file.scope.crate_name.as_str();
-        // det-merge: vendor/rayon implements the merges themselves
-        // (its `reduce` is the ordered combiner, not a user of one)
-        // and bench binaries don't publish results.
-        let merge_applies = !THREAD_EXEMPT_CRATES.contains(&crate_name);
-        if merge_applies {
-            for site in &file.det_sites {
-                if site.parallel && !site.is_test && site.annotation.is_none() {
-                    findings.push(Finding {
-                        rule: Rule::DetMerge,
-                        path: file.path.clone(),
-                        line: site.line,
-                        what: format!(
-                            "parallel .{}() merge without a // det: order-safety note",
-                            site.op
-                        ),
-                    });
-                }
-            }
-        }
-        // det-threads: behaviour must not observe the worker count.
-        if !THREAD_EXEMPT_CRATES.contains(&crate_name) {
-            for site in &file.thread_sites {
-                if site.is_test {
-                    continue;
-                }
-                findings.push(Finding {
-                    rule: Rule::DetThreads,
-                    path: file.path.clone(),
-                    line: site.line,
-                    what: format!("{}() observed outside vendor/rayon and bench", site.what),
-                });
-            }
-        }
-    }
-}
-
 /// `span-known`: usage ⊆ registry, and (workspace) registry ⊆ usage
-/// for non-fixture entries.
+/// for non-fixture entries. A `const`-minted name resolves like a call
+/// edge: through the one `const` of that identifier in the scanned
+/// files; an identifier defined twice (or nowhere) stays unresolved.
 fn check_spans(
     files: &[FileIndex],
     registry: &SpanRegistry,
     mode: Mode,
     findings: &mut Vec<Finding>,
 ) {
+    let mut consts: BTreeMap<&str, Option<&str>> = BTreeMap::new();
+    for (ident, lit) in files.iter().flat_map(|f| &f.str_consts) {
+        consts.entry(ident).and_modify(|v| *v = None).or_insert(Some(lit));
+    }
     let mut used: BTreeSet<&str> = BTreeSet::new();
     for file in files {
         if !file.scope.span_checked() {
             continue;
         }
-        for span in &file.span_uses {
-            if span.is_test {
-                continue;
-            }
-            used.insert(span.name.as_str());
-            if !registry.contains(&span.name) {
+        for span in file.span_uses.iter().filter(|s| !s.is_test) {
+            let name = if span.via_const {
+                match consts.get(span.name.as_str()) {
+                    Some(Some(lit)) => *lit,
+                    _ => continue,
+                }
+            } else {
+                span.name.as_str()
+            };
+            used.insert(name);
+            if !registry.contains(name) {
                 findings.push(Finding {
                     rule: Rule::SpanKnown,
                     path: file.path.clone(),
                     line: span.line,
-                    what: format!("span name \"{}\" is not in {}", span.name, registry.path),
+                    what: format!("span name \"{name}\" is not in {}", registry.path),
                 });
             }
         }
@@ -256,7 +182,7 @@ mod tests {
         mode: Mode,
     ) -> Vec<Finding> {
         let files = vec![index_file(path, src)];
-        check(&files, registry, &BTreeSet::new(), mode)
+        check(&files, registry, mode)
     }
 
     fn ids(findings: &[Finding]) -> Vec<&'static str> {
@@ -278,57 +204,13 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_without_safety_is_flagged_everywhere_even_tests() {
-        let src = "\
-#[cfg(test)]\n\
-mod tests {\n\
-    fn t() { let _ = unsafe { raw() }; }\n\
-}\n";
-        let f = check_one("crates/graph/src/x.rs", src, None, Mode::Workspace);
-        assert_eq!(ids(&f), vec!["unsafe-safety"]);
-    }
-
-    #[test]
-    fn panic_path_reports_only_result_bearing_callers() {
-        let files = vec![
-            index_file(
-                "crates/graph/src/a.rs",
-                "pub fn caller(x: Option<u32>) -> u32 { sink(x) }\n",
-            ),
-            index_file(
-                "crates/obs/src/b.rs",
-                "pub fn other_caller(x: Option<u32>) -> u32 { sink(x) }\npub fn sink(x: Option<u32>) -> u32 { x.unwrap() }\n",
-            ),
-        ];
-        let f = check(&files, None, &BTreeSet::new(), Mode::Workspace);
-        let pp: Vec<&Finding> = f.iter().filter(|f| f.rule == Rule::PanicPath).collect();
-        // graph caller flagged; obs caller is not result-bearing
-        assert_eq!(pp.len(), 1);
-        assert_eq!(pp[0].path, "crates/graph/src/a.rs");
-        assert!(pp[0].what.contains("caller -> sink"), "{}", pp[0].what);
-    }
-
-    #[test]
-    fn suppressed_contract_does_not_taint_callers() {
-        let files = vec![index_file(
-            "crates/graph/src/a.rs",
-            "pub fn caller(x: Option<u32>) -> u32 { documented(x) }\npub fn documented(x: Option<u32>) -> u32 { x.expect(\"contract\") }\n",
-        )];
-        let mut suppressed = BTreeSet::new();
-        suppressed.insert(("crates/graph/src/a.rs".to_string(), 2));
-        let f = check(&files, None, &suppressed, Mode::Workspace);
-        assert!(f.iter().all(|f| f.rule != Rule::PanicPath), "{f:?}");
-    }
-
-    #[test]
-    fn det_rules_respect_crate_exemptions() {
+    fn det_merge_respects_crate_exemptions() {
         let src = "\
 pub fn merge(xs: &[f64]) -> f64 {\n\
     xs.par_iter().cloned().reduce(|| 0.0, f64::max)\n\
-}\n\
-pub fn threads() -> usize { current_num_threads() }\n";
+}\n";
         let flagged = check_one("crates/graph/src/x.rs", src, None, Mode::Workspace);
-        assert_eq!(ids(&flagged), vec!["det-merge", "det-threads"]);
+        assert_eq!(ids(&flagged), vec!["det-merge"]);
         let exempt = check_one("vendor/rayon/src/x.rs", src, None, Mode::Workspace);
         assert!(exempt.is_empty(), "{exempt:?}");
         let bench = check_one("crates/bench/src/x.rs", src, None, Mode::Workspace);
@@ -349,5 +231,29 @@ pub fn threads() -> usize { current_num_threads() }\n";
         // self-test mode skips the stale direction
         let st = check_one("crates/core/src/x.rs", src, Some(&reg), Mode::SelfTest);
         assert_eq!(ids(&st), vec!["span-known"]);
+    }
+
+    #[test]
+    fn span_known_resolves_unique_consts_across_files() {
+        let reg = SpanRegistry::parse("crates/audit/span-names.txt", "test.decode\n");
+        let files = vec![
+            index_file(
+                "crates/core/src/timings.rs",
+                "pub mod stage { pub const DECODE: &str = \"test.decode\"; pub const NEW: &str = \"test.new\"; }\n",
+            ),
+            index_file(
+                "crates/core/src/pipeline.rs",
+                "fn run() {\n let _a = span(stage::DECODE);\n let _b = span(stage::NEW);\n let _c = span(MISSING);\n}\n",
+            ),
+        ];
+        let f = check(&files, Some(&reg), Mode::Workspace);
+        assert_eq!(ids(&f), vec!["span-known"]);
+        assert!(f[0].what.contains("test.new"), "{}", f[0].what);
+        assert_eq!((f[0].path.as_str(), f[0].line), ("crates/core/src/pipeline.rs", 3));
+
+        // a second definition of the same identifier makes it ambiguous
+        let shadow = index_file("crates/graph/src/x.rs", "const NEW: &str = \"graph.new\";\n");
+        let f = check(&[files[0].clone(), files[1].clone(), shadow], Some(&reg), Mode::Workspace);
+        assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -8,6 +8,15 @@
 //! propagation + combination) stays a modest fraction of the CRF's own
 //! train+test time, growing with the corpus.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::RunOptions;
 use graphner_core::{GraphNer, GraphNerConfig};
 use graphner_corpusgen::{generate, CorpusProfile};

@@ -4,6 +4,15 @@
 //! The reproduced shape: heavily right-skewed — most vertices have low
 //! influence, a small number act as hubs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::{run_corpus_comparison, RunOptions};
 use graphner_corpusgen::{generate, CorpusProfile};
 

@@ -6,6 +6,15 @@
 //! p = 0.029 on the real corpus), i.e. GraphNER's corrections on the
 //! noisier corpus are concentrated in the junk category.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::{run_fp_analysis, RunOptions};
 use graphner_corpusgen::{generate, CorpusProfile};
 

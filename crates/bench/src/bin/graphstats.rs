@@ -7,6 +7,15 @@
 //! percentage (transductive setting), low positive percentage — much
 //! lower for AML than BC2GM — out-degree exactly K, weakly connected.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::{run_corpus_comparison, RunOptions};
 use graphner_core::GraphStats;
 use graphner_corpusgen::{generate, CorpusProfile};

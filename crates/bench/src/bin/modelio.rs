@@ -12,6 +12,15 @@
 //! process exits non-zero if the round trip diverges — CI runs this as
 //! the persistence smoke test.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_banner::NerConfig;
 use graphner_bench::eval_predictions;
 use graphner_core::{load_model, save_model, GraphNer, GraphNerConfig};

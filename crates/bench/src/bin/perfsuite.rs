@@ -29,6 +29,15 @@
 //! hidden (vendored/closure) allocation the lexical rules cannot see.
 //! See DESIGN.md §14.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::perf::{self, BenchReport, StageResult, DEFAULT_TOLERANCE, SCHEMA_VERSION};
 use graphner_bench::synth::synthetic_propagation;
 use graphner_bench::RunOptions;

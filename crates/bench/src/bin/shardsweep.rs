@@ -15,6 +15,15 @@
 //! shardsweep [--vertices N] [--k K] [--sweeps S] [--iters I]
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::synth::{synthetic_propagation, SynthPropagation};
 use graphner_graph::{
     propagate_partitioned, LabelDist, Partition, PropagationParams, PropagationReport, ShardSize,

@@ -6,6 +6,15 @@
 //! both baselines, with the gain carried by precision; the ChemDNER
 //! variant beats plain BANNER.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::{
     mean_over_seeds, print_header, print_mean_row, reseeded, run_corpus_comparison,
     run_neural_baseline, RunOptions,

@@ -5,6 +5,15 @@
 //! The reproduced shape: absolute scores substantially higher than on
 //! BC2GM, GraphNER's improvements carried by precision.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::{
     mean_over_seeds, print_header, print_mean_row, reseeded, run_corpus_comparison,
     run_neural_baseline, RunOptions,

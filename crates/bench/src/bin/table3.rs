@@ -7,6 +7,15 @@
 //! shape: All ≥ Lexical ≥ MI-thresholded, all above the baseline, and
 //! K = 5 marginally below K = 10.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_banner::DistributionalResources;
 use graphner_bench::{eval_predictions, RunOptions};
 use graphner_core::{GraphFeatureSet, GraphNer, GraphNerConfig, TestSession};

@@ -7,6 +7,15 @@
 //! fold for every candidate configuration, and the best-F configuration
 //! is reported.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_banner::DistributionalResources;
 use graphner_bench::{eval_predictions, RunOptions};
 use graphner_core::{GraphNer, GraphNerConfig, TestSession};

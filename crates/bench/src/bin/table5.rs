@@ -7,6 +7,15 @@
 //! precision differences significant on AML while recall differences
 //! are not.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::{run_corpus_comparison, RunOptions};
 use graphner_corpusgen::{generate, CorpusProfile};
 use graphner_eval::{sigf, Metric};

@@ -1,7 +1,8 @@
-//! Debug-mode numeric guards — the runtime counterpart of the
-//! `graphner-audit` static pass.
+//! Debug-mode numeric guards — the runtime counterpart of the static
+//! policy checks (clippy's workspace lints and the `graphner-audit`
+//! pass).
 //!
-//! The audit binary enforces what the *source* must look like; this
+//! Clippy and the audit enforce what the *source* must look like; this
 //! module enforces what the *numbers* must look like while the pipeline
 //! runs. Every guard returns immediately in release builds
 //! (`cfg!(debug_assertions)` is const-folded to `false`), so the

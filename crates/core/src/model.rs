@@ -133,6 +133,10 @@ pub struct TestOutput {
 impl GraphNer {
     /// TRAIN (Algorithm 1, lines 1–3): train the base CRF and set the
     /// reference distributions.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: GraphNer::train requires gold tags on every training sentence; an unlabelled corpus is caller error, not a recoverable state"
+    )]
     pub fn train(
         train: &Corpus,
         base_cfg: &NerConfig,

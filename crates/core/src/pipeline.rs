@@ -28,6 +28,8 @@
 //! a stage actually computes, so the per-row [`TestTimings`] reflect
 //! real work: a cached stage contributes zero seconds.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::check;
 use crate::config::{GraphFeatureSet, GraphNerConfig};
 use crate::graphbuild::{build_vertex_vectors, knn_from_vectors};
@@ -381,6 +383,10 @@ impl<'a> TestSession<'a> {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the interner mints u32 trigram ids, so its length fits u32"
+    )]
     fn ensure_x_ref_slice(&mut self) {
         if self.x_ref_slice.is_none() {
             let n = self.interner.len();

@@ -642,7 +642,7 @@ mod tests {
     #[test]
     fn test_set_contains_unseen_genes() {
         let c = generate(&CorpusProfile::bc2gm().scaled(0.1));
-        let train_tokens: std::collections::HashSet<&str> =
+        let train_tokens: std::collections::BTreeSet<&str> =
             c.train.sentences.iter().flat_map(|s| s.tokens.iter().map(String::as_str)).collect();
         let unseen_mentions =
             c.test
@@ -716,7 +716,7 @@ mod alignment_tests {
     fn test_set_contains_unseen_spurious_entities() {
         let profile = CorpusProfile::bc2gm().scaled(0.1);
         let c = generate(&profile);
-        let train_tokens: std::collections::HashSet<&str> =
+        let train_tokens: std::collections::BTreeSet<&str> =
             c.train.sentences.iter().flat_map(|s| s.tokens.iter().map(String::as_str)).collect();
         let unseen_spurious = c
             .lexicon

@@ -7,6 +7,8 @@
 //! intermediate quantity in range while avoiding `ln`/`exp` in the inner
 //! loops.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::model::{ChainCrf, SentenceFeatures};
 use graphner_text::{BioTag, NUM_TAGS};
 
@@ -175,6 +177,10 @@ impl ChainCrf {
 
     /// Conditional log-likelihood `log p(gold | x)` of a labelled
     /// sentence.
+    #[expect(
+        clippy::expect_used,
+        reason = "public-API contract of conditional_log_likelihood, stated in its doc comment"
+    )]
     pub fn conditional_log_likelihood(&self, sent: &SentenceFeatures) -> f64 {
         let gold = sent.gold.as_ref().expect("labelled sentence required");
         let exp_trans = self.exp_transitions();
@@ -239,6 +245,10 @@ impl ChainCrf {
 ///
 /// Probabilities of exactly zero are floored to a tiny constant so the
 /// decode never sees `-inf` everywhere.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "back-pointers index NUM_TAGS (3) tags, so they fit u8"
+)]
 // hot: GraphNER's final decode, runs per sentence at serve time
 pub fn viterbi_tags(
     node_probs: &[[f64; NUM_TAGS]],
@@ -292,6 +302,7 @@ pub fn viterbi_tags(
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test sentences are tiny")]
 mod tests {
     use super::*;
     use crate::statespace::Order;

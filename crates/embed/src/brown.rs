@@ -454,7 +454,7 @@ mod tests {
         // all six words clustered into exactly two top-level groups means
         // every path is non-empty and there are at most 2 distinct
         // 1-prefixes
-        let prefixes: std::collections::HashSet<&str> =
+        let prefixes: std::collections::BTreeSet<&str> =
             bc.paths.values().map(|p| &p[..1]).collect();
         assert!(prefixes.len() <= 2);
     }

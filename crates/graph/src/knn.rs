@@ -18,6 +18,8 @@
 //! broken by vertex id, and self-edges are excluded — so both builders
 //! return identical graphs.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::graph::KnnGraph;
 use crate::sparse::SparseVec;
 use graphner_obs::obs_summary;
@@ -63,6 +65,10 @@ fn record_build_metrics(method: &str, adj: &[Vec<(u32, f32)>], candidate_pairs: 
 }
 
 /// Exact k-NN by pairwise cosine over all vertex pairs.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "j < n <= u32::MAX vertices and cosine sims are in [0, 1] where f32 keeps ranking precision"
+)]
 // hot: O(V^2) pairwise scoring, the graph-build bottleneck
 pub fn knn_brute_force(vectors: &[SparseVec], k: usize) -> KnnGraph {
     assert!(k > 0);
@@ -81,8 +87,6 @@ pub fn knn_brute_force(vectors: &[SparseVec], k: usize) -> KnnGraph {
                 let sim = vectors[i].dot(&vectors[j]);
                 if sim > 0.0 {
                     // alloc: amortized push into the candidate buffer
-                    // cast: j < n <= u32::MAX vertices and cosine sims
-                    // are in [0, 1] where f32 keeps ranking precision
                     cands.push((j as u32, sim as f32));
                 }
             }
@@ -95,6 +99,10 @@ pub fn knn_brute_force(vectors: &[SparseVec], k: usize) -> KnnGraph {
 }
 
 /// Exact k-NN via an inverted index over features.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "i < n <= u32::MAX vertices by the vocab-size guard"
+)]
 // hot: postings-driven scoring sweep, the default graph builder
 pub fn knn_inverted_index(vectors: &[SparseVec], k: usize) -> KnnGraph {
     assert!(k > 0);
@@ -111,7 +119,6 @@ pub fn knn_inverted_index(vectors: &[SparseVec], k: usize) -> KnnGraph {
     for (i, vec) in vectors.iter().enumerate() {
         for &(f, val) in vec.entries() {
             // alloc: amortized push into the postings list
-            // cast: i < n <= u32::MAX vertices by the vocab-size guard
             postings[f as usize].push((i as u32, val));
         }
     }
@@ -158,6 +165,7 @@ pub fn knn_inverted_index(vectors: &[SparseVec], k: usize) -> KnnGraph {
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test graphs are tiny")]
 mod tests {
     use super::*;
 

@@ -29,6 +29,8 @@
 //! [`SweepSchedule`](crate::shard::SweepSchedule) and changes results
 //! only within [`ACTIVE_SET_TOL`]-sized slack of the fixed point.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::graph::KnnGraph;
 use crate::shard::{Partition, ShardSize};
 use graphner_obs::{obs_debug, obs_summary};
@@ -76,6 +78,10 @@ impl Default for PropagationParams {
 /// the unsharded reference so both compute identical bits.
 #[inline]
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "vertex ids fit u32: the graph builder caps V at u32::MAX"
+)]
 // hot: per-vertex propagation kernel, runs O(V * sweeps) times
 fn jacobi_update(
     graph: &KnnGraph,
@@ -101,7 +107,6 @@ fn jacobi_update(
             *g += kappa * iy;
         }
     }
-    // cast: vertex ids fit u32 — the graph builder caps V at u32::MAX
     for (nb, w) in graph.neighbors(i as u32) {
         let xw = &x[nb as usize];
         let w = params.mu * w as f64;
@@ -393,6 +398,10 @@ pub fn propagate_partitioned(
 /// `active_set = false` must match its output byte-for-byte at any
 /// shard size — tests/properties.rs property-checks exactly that.
 /// Emits no metrics; it exists for tests and A/B benchmarks only.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "vertex ids fit u32: the graph builder caps V at u32::MAX"
+)]
 pub fn propagate_reference(
     graph: &KnnGraph,
     x: &mut Vec<LabelDist>,
@@ -445,6 +454,7 @@ pub fn propagate_reference(
 }
 
 #[cfg(test)]
+#[expect(clippy::cast_possible_truncation, reason = "test graphs are tiny")]
 mod tests {
     use super::*;
     use crate::graph::KnnGraph;

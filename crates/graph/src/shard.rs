@@ -12,6 +12,8 @@
 //! which is what lets the engine keep the byte-identical determinism
 //! contract of DESIGN.md §10.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::graph::KnnGraph;
 
 /// Fewest vertices an automatically-sized shard may hold. Below this,
@@ -138,6 +140,10 @@ pub struct Partition {
 
 impl Partition {
     /// Partition `graph` into contiguous shards of `size`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "vertex ids fit u32: the graph builder caps V at u32::MAX"
+    )]
     pub fn new(graph: &KnnGraph, size: ShardSize) -> Partition {
         let n = graph.num_vertices();
         let shard_vertices = size.resolve(n);

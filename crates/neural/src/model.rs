@@ -222,6 +222,10 @@ pub struct TrainedLstmCrf {
 
 impl TrainedLstmCrf {
     /// Train on `train`, early-stopping on mention-F over `dev`.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "training contract: the LSTM-CRF baseline trains only on the labelled split"
+    )]
     pub fn train(train: &Corpus, dev: &Corpus, cfg: &LstmCrfConfig) -> TrainedLstmCrf {
         assert!(train.fully_labelled() && dev.fully_labelled());
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
@@ -464,6 +468,10 @@ fn step(
 }
 
 /// Mention-level F over a labelled corpus.
+#[expect(
+    clippy::unwrap_used,
+    reason = "mention_f is an internal dev-set metric, only ever called on the labelled dev split"
+)]
 fn mention_f(tagger: &LstmCrfTagger, crf: &CrfLayer, corpus: &Corpus) -> f64 {
     let (mut tp, mut n_pred, mut n_gold) = (0usize, 0usize, 0usize);
     for sentence in &corpus.sentences {
@@ -472,7 +480,7 @@ fn mention_f(tagger: &LstmCrfTagger, crf: &CrfLayer, corpus: &Corpus) -> f64 {
         let gm = sentence.gold_mentions().unwrap();
         n_pred += pm.len();
         n_gold += gm.len();
-        let gset: std::collections::HashSet<_> = gm.into_iter().collect();
+        let gset: std::collections::BTreeSet<_> = gm.into_iter().collect();
         tp += pm.iter().filter(|m| gset.contains(m)).count();
     }
     if n_pred + n_gold == 0 {

@@ -70,6 +70,10 @@ pub fn enabled(at: Level) -> bool {
 
 /// Write one log line to stderr. Callers go through the macros, which
 /// check [`enabled`] first.
+#[expect(
+    clippy::print_stderr,
+    reason = "the logger is the workspace's one stderr writer; every other crate logs through its macros"
+)]
 pub fn emit(args: std::fmt::Arguments<'_>) {
     eprintln!("{args}");
 }

@@ -19,6 +19,11 @@
 //! completed on the *current thread* during the closure — deterministic
 //! even while other threads (e.g. parallel tests) record their own.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module owns the workspace's wall clock: spans and Stopwatch are the only readers of Instant"
+)]
+
 use crate::alloc::AllocSnapshot;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,8 +205,8 @@ impl SpanRecord {
 /// A plain wall-clock timer for call sites that want a duration as a
 /// value (e.g. timing fields in result structs) rather than a recorded
 /// span. This is the only sanctioned way to read the wall clock
-/// outside this crate: the workspace audit forbids `Instant` anywhere
-/// else, so all timing flows through `graphner-obs`.
+/// outside this crate: `clippy::disallowed_types` forbids `Instant`
+/// anywhere else, so all timing flows through `graphner-obs`.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
     started: Instant,

@@ -22,6 +22,15 @@
 //! `--deadline-ms`, or when `--check` finds a regression against the
 //! committed baseline.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;

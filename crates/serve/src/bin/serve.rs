@@ -13,6 +13,15 @@
 //! (zero, over the caps) die with a typed error at startup rather than
 //! misbehaving under load.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+)]
+
 use graphner_bench::RunOptions;
 use graphner_core::{GraphNer, GraphNerConfig, TestSession};
 use graphner_corpusgen::{generate, CorpusProfile};

@@ -4,8 +4,8 @@
 //!
 //! Supported: request line + headers, `Content-Length` bodies (capped
 //! at [`MAX_BODY_BYTES`]), `Connection: close`. Not supported (and
-//! answered with an error rather than misparsed): chunked transfer
-//! encoding, continuation lines, bodies above the cap.
+//! answered with an error rather than misparsed): any
+//! `Transfer-Encoding` (501), continuation lines, bodies above the cap.
 
 use std::io::{self, BufRead, Write};
 
@@ -25,6 +25,9 @@ pub enum HttpError {
     Malformed(&'static str),
     /// `Content-Length` exceeds [`MAX_BODY_BYTES`].
     BodyTooLarge(usize),
+    /// The request carries a `Transfer-Encoding` (e.g. chunked). Its
+    /// body is left unread, so the connection cannot be reused.
+    TransferEncoding,
 }
 
 impl std::fmt::Display for HttpError {
@@ -35,6 +38,9 @@ impl std::fmt::Display for HttpError {
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpError::BodyTooLarge(n) => {
                 write!(f, "request body of {n} bytes exceeds the {MAX_BODY_BYTES}-byte cap")
+            }
+            HttpError::TransferEncoding => {
+                write!(f, "transfer-encoding is not supported; send a content-length body")
             }
         }
     }
@@ -117,6 +123,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     }
 
     let request = Request { method, path, headers, body: Vec::new() };
+    if request.header("transfer-encoding").is_some() {
+        return Err(HttpError::TransferEncoding);
+    }
     let content_length = match request.header("content-length") {
         None => 0,
         Some(v) => match v.parse::<usize>() {
@@ -142,6 +151,7 @@ pub fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -219,6 +229,13 @@ mod tests {
     fn rejects_oversized_bodies_before_reading_them() {
         let raw = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         assert!(matches!(parse(raw.as_bytes()), Err(HttpError::BodyTooLarge(_))));
+    }
+
+    #[test]
+    fn rejects_transfer_encoding_without_reading_the_body() {
+        let raw =
+            b"POST /v1/tag HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert!(matches!(parse(raw), Err(HttpError::TransferEncoding)));
     }
 
     #[test]

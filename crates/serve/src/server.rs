@@ -258,6 +258,17 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
                 let _ = write_response(&mut writer, 413, &[], b"request body too large\n");
                 return;
             }
+            Err(HttpError::TransferEncoding) => {
+                // the body's framing is unknown, so the stream cannot
+                // be resynchronised: answer and close
+                let _ = write_response(
+                    &mut writer,
+                    501,
+                    &[("Connection", "close")],
+                    b"transfer-encoding not supported; send content-length\n",
+                );
+                return;
+            }
             Err(HttpError::Malformed(what)) => {
                 let _ = write_response(
                     &mut writer,
@@ -385,6 +396,43 @@ fn refresh_derived_gauges(ctx: &Ctx) {
 mod tests {
     use super::*;
     use graphner_text::BioTag::*;
+    use graphner_text::NUM_TAGS;
+    use std::io::{Read, Write};
+
+    /// Everything-O tagger.
+    struct AllO;
+
+    impl Tagger for AllO {
+        fn predict(&self, sentence: &Sentence) -> Vec<BioTag> {
+            vec![O; sentence.len()]
+        }
+
+        fn posteriors(&self, sentence: &Sentence) -> Vec<[f64; NUM_TAGS]> {
+            vec![[0.0, 0.0, 1.0]; sentence.len()]
+        }
+    }
+
+    #[test]
+    fn chunked_request_gets_501_and_its_chunks_are_never_parsed() {
+        let server = start(AllO, ServeConfig::default(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // a chunked request, then a valid request on the same stream:
+        // before the 501 the chunk lines were parsed as a request line
+        // and answered 400, after the chunked body was read as empty
+        stream
+            .write_all(
+                b"POST /v1/tag HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                  5\r\nWT1 g\r\n0\r\n\r\n\
+                  GET /healthz HTTP/1.1\r\n\r\n",
+            )
+            .unwrap();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let text = String::from_utf8(raw).unwrap();
+        assert!(text.starts_with("HTTP/1.1 501 Not Implemented\r\n"), "{text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        server.shutdown();
+    }
 
     #[test]
     fn render_is_tab_separated_with_blank_line_sentence_breaks() {

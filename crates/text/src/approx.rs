@@ -1,6 +1,6 @@
 //! Float-comparison helpers — the sanctioned replacements for bare
-//! `==`/`!=` on floats, which the workspace audit (`graphner-audit`)
-//! rejects in library code.
+//! `==`/`!=` on floats, which the `no-float-eq` rule of the workspace
+//! audit (`graphner-audit`) rejects in library code.
 //!
 //! Two distinct intents exist in this codebase, and the helper names
 //! keep them apart:
@@ -41,7 +41,7 @@ pub fn is_zero(x: f64) -> bool {
 /// Whether `x` is *exactly* `±0.0` — a bit-pattern test with no
 /// tolerance. Shifting out the sign bit leaves zero only for the two
 /// signed zeros, so this is `x == 0.0` without the bare float
-/// comparison the audit forbids.
+/// comparison `no-float-eq` forbids.
 #[inline]
 pub fn exactly_zero(x: f64) -> bool {
     x.to_bits() << 1 == 0

@@ -38,6 +38,10 @@ impl BioTag {
     /// # Panics
     /// Panics if `idx >= NUM_TAGS`.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "from_index's panic is its documented \"# Panics\" contract; untrusted indices go through try_from_index"
+    )]
     pub fn from_index(idx: usize) -> BioTag {
         match BioTag::try_from_index(idx) {
             Some(tag) => tag,

@@ -6,6 +6,13 @@
 //! cargo run --release --example custom_corpus
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "examples print their results and stop at the first error"
+)]
+
 use graphner::prelude::*;
 
 fn main() {

@@ -7,6 +7,13 @@
 //! cargo run --release --example gene_mention_pipeline
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "examples print their results and stop at the first error"
+)]
+
 use graphner::eval::{sigf, Metric};
 use graphner::prelude::*;
 

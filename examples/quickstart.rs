@@ -5,6 +5,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "examples print their results and stop at the first error"
+)]
+
 use graphner::prelude::*;
 use BioTag::*;
 

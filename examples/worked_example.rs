@@ -11,6 +11,13 @@
 //! cargo run --release --example worked_example
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "examples print their results and stop at the first error"
+)]
+
 use graphner::prelude::*;
 use BioTag::*;
 

@@ -9,6 +9,11 @@
 //! sessions over the same model must agree byte-for-byte on every
 //! output except wall-clock timings.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup outside #[test] functions fails the test by panicking"
+)]
+
 use graphner::banner::NerConfig;
 use graphner::core::{GraphNer, GraphNerConfig, ShardSize, TestOutput, TestSession};
 use graphner::corpusgen::{generate, CorpusProfile};

@@ -5,6 +5,11 @@
 //! are a pure function of input length, and parallel `map` + `collect`
 //! preserves input order exactly.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the pool suite observes the worker count it is testing"
+)]
+
 use proptest::prelude::*;
 use rayon::prelude::*;
 

@@ -11,6 +11,11 @@
 //! `GRAPHNER_THREADS=1` and `4` and compares the canonical dumps
 //! byte-for-byte.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test setup outside #[test] functions fails the test by panicking"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
