@@ -2,7 +2,7 @@
 //!
 //! A `// hot:` annotation directly above a library `fn` marks it a
 //! hot-path *root* (the propagation inner loops, kNN scoring, the CRF
-//! forward-backward lattice, Viterbi decode, `tag_batch`). A forward
+//! forward-backward lattice, Viterbi decode, `try_tag_batch`). A forward
 //! fixpoint over the linked [`SymbolGraph`] — root → resolved callees —
 //! computes the **hot-reachable set**, and two rule families run only
 //! inside it:

@@ -7,10 +7,7 @@
 
 use crate::features::{extract_features, DistributionalResources, FeatureIndex, FeatureSet};
 use graphner_crf::{ChainCrf, Order, SentenceFeatures, TrainConfig, TrainReport};
-use graphner_text::{
-    check_posteriors_finite, validate_sentences, BioTag, Corpus, Sentence, TagError, Tagger,
-    NUM_TAGS,
-};
+use graphner_text::{BioTag, Corpus, Sentence, Tagger, NUM_TAGS};
 use rustc_hash::FxHashMap;
 
 /// Which published system the model reproduces.
@@ -188,22 +185,6 @@ impl Tagger for NerModel {
 
     fn posteriors(&self, sentence: &Sentence) -> Vec<[f64; NUM_TAGS]> {
         NerModel::posteriors(self, sentence)
-    }
-
-    /// Fallible batch path: shape-validate, then verify each sentence's
-    /// forward–backward marginals are finite before trusting its
-    /// Viterbi decode. On a clean batch the tags are identical to
-    /// [`Tagger::tag_batch`].
-    fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
-        validate_sentences(sentences)?;
-        sentences
-            .iter()
-            .enumerate()
-            .map(|(index, s)| {
-                check_posteriors_finite(index, &NerModel::posteriors(self, s))?;
-                Ok(NerModel::predict(self, s))
-            })
-            .collect()
     }
 }
 

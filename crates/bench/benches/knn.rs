@@ -1,9 +1,8 @@
 //! Criterion bench: cosine k-NN graph construction — the paper's
-//! stated bottleneck (O(V²F) brute force) against the inverted-index
-//! equivalent.
+//! stated bottleneck — through the inverted-index builder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphner_graph::{knn_brute_force, knn_inverted_index, SparseVec};
+use graphner_graph::{knn_inverted_index, SparseVec};
 
 fn random_vectors(n: usize, num_features: u32, nnz: usize, seed: u64) -> Vec<SparseVec> {
     let mut state = seed.max(1);
@@ -35,9 +34,6 @@ fn bench_knn(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[500usize, 2_000] {
         let vectors = random_vectors(n, (n * 4) as u32, 30, 3);
-        group.bench_with_input(BenchmarkId::new("brute_force", n), &n, |b, _| {
-            b.iter(|| knn_brute_force(&vectors, 10))
-        });
         group.bench_with_input(BenchmarkId::new("inverted_index", n), &n, |b, _| {
             b.iter(|| knn_inverted_index(&vectors, 10))
         });

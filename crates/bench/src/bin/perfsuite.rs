@@ -206,7 +206,7 @@ fn run_tag_batch_worker(scale: f64, iters: usize) {
     let tagger = session.tagger(gner.config());
     use graphner_text::Tagger as _;
     let m = measure(iters, || {
-        std::hint::black_box(tagger.tag_batch(&test.sentences));
+        std::hint::black_box(tagger.try_tag_batch(&test.sentences).expect("test sentences tag"));
     });
     print_worker_line(&m);
 }

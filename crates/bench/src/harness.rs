@@ -245,7 +245,8 @@ pub fn run_neural_baseline(corpus: &GeneratedCorpus, opts: &RunOptions) -> Syste
     // TrainedLstmCrf is a Tagger, so the predict/convert/evaluate glue
     // collapses into the shared one-call path
     let (eval, detections) =
-        graphner_eval::evaluate_tagger(&model, &corpus.test, &corpus.test_gold);
+        graphner_eval::evaluate_tagger(&model, &corpus.test, &corpus.test_gold)
+            .expect("generated test sentences tag");
     SystemResult { name: "LSTM-CRF".to_string(), eval, detections }
 }
 

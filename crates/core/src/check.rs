@@ -54,6 +54,14 @@ pub fn assert_distribution(ctx: &str, d: &[f64]) {
     );
 }
 
+/// Whether `d` passes [`assert_distribution`], in every build — for
+/// data read from outside the program, which is checked as input
+/// rather than guarded as an invariant.
+pub fn is_distribution(d: &[f64]) -> bool {
+    d.iter().all(|&p| p.is_finite() && p >= NEG_SLACK)
+        && (d.iter().sum::<f64>() - 1.0).abs() <= DISTRIBUTION_TOL
+}
+
 /// [`assert_distribution`] over a belief table, one row per vertex or
 /// token. No-op in release builds.
 #[inline]

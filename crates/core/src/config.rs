@@ -51,7 +51,7 @@ pub const MAX_DEADLINE_MS: u64 = 3_600_000;
 /// it describes how the server runs, not what the model learned, so it
 /// is deliberately *not* persisted with a trained model.
 ///
-/// Validated by [`GraphNerConfigBuilder::build`]: every knob must be
+/// Checked by [`GraphNerConfig::validate`]: every knob must be
 /// non-zero ([`ConfigError::ZeroServeKnob`]) and within its cap
 /// ([`ConfigError::ServeKnobOverflow`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub struct ServeConfig {
     /// Bounded request-queue depth; a full queue answers 429 with
     /// `Retry-After` instead of buffering without limit.
     pub queue_capacity: usize,
-    /// Maximum sentences the batcher coalesces into one `tag_batch`
+    /// Maximum sentences the batcher coalesces into one `try_tag_batch`
     /// call before flushing.
     pub max_batch: usize,
     /// Maximum microseconds the batcher lingers waiting for more
@@ -87,16 +87,13 @@ impl Default for ServeConfig {
 /// propagation hyper-parameters (μ, ν, #iterations), the graph degree
 /// K, and the vertex representation.
 ///
-/// Construct through [`GraphNerConfig::builder`], which validates the
-/// values and returns a typed [`ConfigError`] on nonsense (K = 0, a
-/// non-simplex α, zero propagation iterations, …), or through
-/// [`GraphNerConfig::default`] / [`GraphNerConfig::table_iv`] for the
-/// paper's settings. The fields remain public for ablation sweeps over
-/// an already-valid base (`GraphNerConfig { k: 5, ..base }`), but
-/// building a config from a bare struct literal is deprecated: it
-/// skips validation, and invalid values surface later as debug-mode
-/// guard panics deep inside the pipeline instead of an error at the
-/// API boundary.
+/// Start from [`GraphNerConfig::default`] / [`GraphNerConfig::table_iv`]
+/// (the paper's settings), override fields with struct-update syntax
+/// (`GraphNerConfig { k: 5, ..GraphNerConfig::default() }`), and call
+/// [`GraphNerConfig::validate`] on anything that came from outside the
+/// program. It returns a typed [`ConfigError`] on nonsense (K = 0, a
+/// non-simplex α, zero propagation iterations, …) at the API boundary
+/// instead of a guard panic deep inside the pipeline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphNerConfig {
     /// Interpolation weight on the CRF posterior in
@@ -159,9 +156,9 @@ impl Default for GraphNerConfig {
     }
 }
 
-/// A rejected [`GraphNerConfigBuilder::build`]: which knob was invalid
+/// A rejected [`GraphNerConfig::validate`]: which knob was invalid
 /// and why. Every variant is a configuration that *parses* but cannot
-/// mean anything — the builder refuses it up front rather than letting
+/// mean anything — `validate` refuses it up front rather than letting
 /// it surface as a guard panic or a silently degenerate result.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
@@ -249,131 +246,12 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Validating builder for [`GraphNerConfig`], starting from the
-/// Table IV defaults. Setters overwrite one knob each;
-/// [`build`](GraphNerConfigBuilder::build) checks the combination and
-/// returns a typed [`ConfigError`] instead of letting an invalid
-/// configuration flow into the pipeline.
-#[derive(Clone, Debug, Default)]
-pub struct GraphNerConfigBuilder {
-    cfg: GraphNerConfig,
-}
-
-impl GraphNerConfigBuilder {
-    /// Interpolation weight α on the CRF posterior.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.cfg.alpha = alpha;
-        self
-    }
-
-    /// Graph out-degree K.
-    pub fn k(mut self, k: usize) -> Self {
-        self.cfg.k = k;
-        self
-    }
-
-    /// Replace all propagation parameters at once.
-    pub fn propagation(mut self, propagation: PropagationParams) -> Self {
-        self.cfg.propagation = propagation;
-        self
-    }
-
-    /// Number of Jacobi propagation sweeps.
-    pub fn iterations(mut self, iterations: usize) -> Self {
-        self.cfg.propagation.iterations = iterations;
-        self
-    }
-
-    /// Propagation μ (neighbour agreement weight).
-    pub fn mu(mut self, mu: f64) -> Self {
-        self.cfg.propagation.mu = mu;
-        self
-    }
-
-    /// Propagation ν (uniform-prior regularization weight).
-    pub fn nu(mut self, nu: f64) -> Self {
-        self.cfg.propagation.nu = nu;
-        self
-    }
-
-    /// Self-anchor weight of each vertex during sweeps.
-    pub fn self_anchor(mut self, self_anchor: f64) -> Self {
-        self.cfg.propagation.self_anchor = self_anchor;
-        self
-    }
-
-    /// Vertex representation for graph construction.
-    pub fn feature_set(mut self, feature_set: GraphFeatureSet) -> Self {
-        self.cfg.feature_set = feature_set;
-        self
-    }
-
-    /// Tempering exponent τ on the decode's transition factors.
-    pub fn trans_power(mut self, trans_power: f64) -> Self {
-        self.cfg.trans_power = trans_power;
-        self
-    }
-
-    /// Add-k smoothing on the gold tag-bigram counts.
-    pub fn trans_add_k(mut self, trans_add_k: f64) -> Self {
-        self.cfg.trans_add_k = trans_add_k;
-        self
-    }
-
-    /// Upper bound on each transition factor.
-    pub fn trans_ratio_cap(mut self, trans_ratio_cap: f64) -> Self {
-        self.cfg.trans_ratio_cap = trans_ratio_cap;
-        self
-    }
-
-    /// Vertices per propagation shard ([`ShardSize::Auto`] sizes from
-    /// the vertex count; `Fixed(0)` is rejected by `build`).
-    pub fn shard_size(mut self, shard_size: ShardSize) -> Self {
-        self.cfg.schedule.shard_size = shard_size;
-        self
-    }
-
-    /// Enable or disable active-set sweep scheduling (skipping shards
-    /// whose residual converged). `false` — the default — reproduces
-    /// the unsharded propagation output exactly.
-    pub fn active_set(mut self, active_set: bool) -> Self {
-        self.cfg.schedule.active_set = active_set;
-        self
-    }
-
-    /// Replace the whole serving section at once.
-    pub fn serve(mut self, serve: ServeConfig) -> Self {
-        self.cfg.serve = serve;
-        self
-    }
-
-    /// Bounded request-queue depth for `graphner-serve`.
-    pub fn queue_capacity(mut self, queue_capacity: usize) -> Self {
-        self.cfg.serve.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Maximum sentences per batcher flush.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.cfg.serve.max_batch = max_batch;
-        self
-    }
-
-    /// Maximum microseconds the batcher lingers for more requests.
-    pub fn linger_us(mut self, linger_us: u64) -> Self {
-        self.cfg.serve.linger_us = linger_us;
-        self
-    }
-
-    /// Per-request deadline in milliseconds.
-    pub fn deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.cfg.serve.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Validate the accumulated configuration.
-    pub fn build(self) -> Result<GraphNerConfig, ConfigError> {
-        let cfg = self.cfg;
+impl GraphNerConfig {
+    /// Check every knob and return a typed [`ConfigError`] for the
+    /// first nonsensical one, instead of letting an invalid
+    /// configuration flow into the pipeline.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let cfg = self;
         if cfg.k == 0 {
             return Err(ConfigError::ZeroK);
         }
@@ -420,14 +298,7 @@ impl GraphNerConfigBuilder {
                 return Err(ConfigError::ServeKnobOverflow { name, value, max });
             }
         }
-        Ok(cfg)
-    }
-}
-
-impl GraphNerConfig {
-    /// Start a validating builder at the Table IV defaults.
-    pub fn builder() -> GraphNerConfigBuilder {
-        GraphNerConfigBuilder::default()
+        Ok(())
     }
 
     /// The cross-validated configuration the paper reports for a given
@@ -484,54 +355,55 @@ mod tests {
         assert_eq!(GraphNerConfig::table_iv("AML", true).propagation.iterations, 2);
     }
 
-    #[test]
-    fn builder_accepts_valid_overrides() {
-        let cfg = GraphNerConfig::builder()
-            .alpha(0.1)
-            .k(5)
-            .iterations(4)
-            .feature_set(GraphFeatureSet::Lexical)
-            .build()
-            .expect("valid configuration");
-        assert_eq!(cfg.alpha, 0.1);
-        assert_eq!(cfg.k, 5);
-        assert_eq!(cfg.propagation.iterations, 4);
-        assert_eq!(cfg.feature_set, GraphFeatureSet::Lexical);
-        // untouched knobs keep the Table IV defaults
-        assert_eq!(cfg.trans_ratio_cap, 3.0);
+    /// Validate the Table IV defaults with one knob overridden.
+    fn validate_with(set: impl FnOnce(&mut GraphNerConfig)) -> Result<(), ConfigError> {
+        let mut cfg = GraphNerConfig::default();
+        set(&mut cfg);
+        cfg.validate()
     }
 
     #[test]
-    fn builder_rejects_invalid_configs() {
-        assert_eq!(GraphNerConfig::builder().k(0).build(), Err(ConfigError::ZeroK));
+    fn validate_accepts_defaults_and_valid_overrides() {
+        assert_eq!(GraphNerConfig::default().validate(), Ok(()));
+        assert_eq!(GraphNerConfig::table_iv("BC2GM", true).validate(), Ok(()));
+        let cfg = GraphNerConfig {
+            alpha: 0.1,
+            k: 5,
+            propagation: PropagationParams {
+                iterations: 4,
+                ..GraphNerConfig::default().propagation
+            },
+            feature_set: GraphFeatureSet::Lexical,
+            ..GraphNerConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_invalid_configs() {
+        assert_eq!(validate_with(|c| c.k = 0), Err(ConfigError::ZeroK));
+        assert_eq!(validate_with(|c| c.alpha = 1.5), Err(ConfigError::AlphaNotSimplex(1.5)));
+        assert_eq!(validate_with(|c| c.alpha = -0.01), Err(ConfigError::AlphaNotSimplex(-0.01)));
         assert_eq!(
-            GraphNerConfig::builder().alpha(1.5).build(),
-            Err(ConfigError::AlphaNotSimplex(1.5))
-        );
-        assert_eq!(
-            GraphNerConfig::builder().alpha(-0.01).build(),
-            Err(ConfigError::AlphaNotSimplex(-0.01))
-        );
-        assert_eq!(
-            GraphNerConfig::builder().iterations(0).build(),
+            validate_with(|c| c.propagation.iterations = 0),
             Err(ConfigError::ZeroIterations)
         );
         assert_eq!(
-            GraphNerConfig::builder().mu(-1e-6).build(),
+            validate_with(|c| c.propagation.mu = -1e-6),
             Err(ConfigError::BadPropagationWeight { name: "mu", value: -1e-6 })
         );
         assert_eq!(
-            GraphNerConfig::builder().self_anchor(2.0).build(),
+            validate_with(|c| c.propagation.self_anchor = 2.0),
             Err(ConfigError::SelfAnchorNotSimplex(2.0))
         );
         assert_eq!(
-            GraphNerConfig::builder().trans_ratio_cap(0.0).build(),
+            validate_with(|c| c.trans_ratio_cap = 0.0),
             Err(ConfigError::BadTransitionConstant { name: "trans_ratio_cap", value: 0.0 })
         );
-        let nan = GraphNerConfig::builder().nu(f64::NAN).build();
+        let nan = validate_with(|c| c.propagation.nu = f64::NAN);
         assert!(matches!(nan, Err(ConfigError::BadPropagationWeight { name: "nu", .. })));
         assert_eq!(
-            GraphNerConfig::builder().shard_size(ShardSize::Fixed(0)).build(),
+            validate_with(|c| c.schedule.shard_size = ShardSize::Fixed(0)),
             Err(ConfigError::ZeroShardSize)
         );
     }
@@ -541,64 +413,53 @@ mod tests {
         let c = GraphNerConfig::default();
         assert_eq!(c.schedule, SweepSchedule::default());
         assert!(!c.schedule.active_set);
-        let tuned = GraphNerConfig::builder()
-            .shard_size(ShardSize::Fixed(4096))
-            .active_set(true)
-            .build()
-            .expect("valid schedule");
-        assert_eq!(tuned.schedule.shard_size, ShardSize::Fixed(4096));
-        assert!(tuned.schedule.active_set);
-        // the schedule is an execution knob: it never affects equality
-        // of the *learned* configuration fields
-        assert_eq!(tuned.alpha, c.alpha);
+        let tuned = GraphNerConfig {
+            schedule: SweepSchedule { shard_size: ShardSize::Fixed(4096), active_set: true },
+            ..GraphNerConfig::default()
+        };
+        assert_eq!(tuned.validate(), Ok(()));
     }
 
     #[test]
-    fn serve_section_defaults_and_builder_overrides() {
+    fn serve_section_defaults_and_overrides() {
         let c = GraphNerConfig::default();
         assert_eq!(c.serve, ServeConfig::default());
         assert_eq!(c.serve.queue_capacity, 256);
         assert_eq!(c.serve.max_batch, 64);
-        let tuned = GraphNerConfig::builder()
-            .queue_capacity(32)
-            .max_batch(8)
-            .linger_us(250)
-            .deadline_ms(500)
-            .build()
-            .expect("valid serve section");
-        assert_eq!(
-            tuned.serve,
-            ServeConfig { queue_capacity: 32, max_batch: 8, linger_us: 250, deadline_ms: 500 }
-        );
-        // the serve section is an execution knob: learned fields untouched
-        assert_eq!(tuned.alpha, c.alpha);
-        let whole = GraphNerConfig::builder()
-            .serve(ServeConfig { queue_capacity: 1, max_batch: 1, linger_us: 1, deadline_ms: 1 })
-            .build()
-            .expect("minimal serve section is valid");
-        assert_eq!(whole.serve.queue_capacity, 1);
+        let tuned = GraphNerConfig {
+            serve: ServeConfig {
+                queue_capacity: 32,
+                max_batch: 8,
+                linger_us: 250,
+                deadline_ms: 500,
+            },
+            ..GraphNerConfig::default()
+        };
+        assert_eq!(tuned.validate(), Ok(()));
+        let minimal = ServeConfig { queue_capacity: 1, max_batch: 1, linger_us: 1, deadline_ms: 1 };
+        assert_eq!(validate_with(|c| c.serve = minimal), Ok(()));
     }
 
     #[test]
-    fn builder_rejects_zero_and_overflowing_serve_knobs() {
+    fn validate_rejects_zero_and_overflowing_serve_knobs() {
         assert_eq!(
-            GraphNerConfig::builder().queue_capacity(0).build(),
+            validate_with(|c| c.serve.queue_capacity = 0),
             Err(ConfigError::ZeroServeKnob { name: "queue_capacity" })
         );
         assert_eq!(
-            GraphNerConfig::builder().max_batch(0).build(),
+            validate_with(|c| c.serve.max_batch = 0),
             Err(ConfigError::ZeroServeKnob { name: "max_batch" })
         );
         assert_eq!(
-            GraphNerConfig::builder().linger_us(0).build(),
+            validate_with(|c| c.serve.linger_us = 0),
             Err(ConfigError::ZeroServeKnob { name: "linger_us" })
         );
         assert_eq!(
-            GraphNerConfig::builder().deadline_ms(0).build(),
+            validate_with(|c| c.serve.deadline_ms = 0),
             Err(ConfigError::ZeroServeKnob { name: "deadline_ms" })
         );
         assert_eq!(
-            GraphNerConfig::builder().linger_us(MAX_LINGER_US + 1).build(),
+            validate_with(|c| c.serve.linger_us = MAX_LINGER_US + 1),
             Err(ConfigError::ServeKnobOverflow {
                 name: "linger_us",
                 value: MAX_LINGER_US + 1,
@@ -606,7 +467,7 @@ mod tests {
             })
         );
         assert_eq!(
-            GraphNerConfig::builder().deadline_ms(MAX_DEADLINE_MS + 1).build(),
+            validate_with(|c| c.serve.deadline_ms = MAX_DEADLINE_MS + 1),
             Err(ConfigError::ServeKnobOverflow {
                 name: "deadline_ms",
                 value: MAX_DEADLINE_MS + 1,
@@ -614,7 +475,7 @@ mod tests {
             })
         );
         assert_eq!(
-            GraphNerConfig::builder().queue_capacity((MAX_SERVE_QUEUE + 1) as usize).build(),
+            validate_with(|c| c.serve.queue_capacity = (MAX_SERVE_QUEUE + 1) as usize),
             Err(ConfigError::ServeKnobOverflow {
                 name: "queue_capacity",
                 value: MAX_SERVE_QUEUE + 1,
@@ -622,7 +483,7 @@ mod tests {
             })
         );
         // caps themselves are accepted
-        assert!(GraphNerConfig::builder().linger_us(MAX_LINGER_US).build().is_ok());
+        assert_eq!(validate_with(|c| c.serve.linger_us = MAX_LINGER_US), Ok(()));
         // error messages name the knob
         let msg = ConfigError::ZeroServeKnob { name: "max_batch" }.to_string();
         assert!(msg.contains("max_batch"));

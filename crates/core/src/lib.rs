@@ -35,12 +35,10 @@ pub mod pipeline;
 pub mod stats;
 pub mod timings;
 
-pub use config::{
-    ConfigError, GraphFeatureSet, GraphNerConfig, GraphNerConfigBuilder, ServeConfig,
-};
-// the propagation-schedule knobs carried on `GraphNerConfig`, re-exported
-// so builder users need not depend on graphner-graph directly
+pub use config::{ConfigError, GraphFeatureSet, GraphNerConfig, ServeConfig};
 pub use graphbuild::{build_graph, build_vertex_vectors, feature_tag_mi, knn_from_vectors};
+// the propagation-schedule knobs carried on `GraphNerConfig`, re-exported
+// so config users need not depend on graphner-graph directly
 pub use graphner_graph::{ShardSize, SweepSchedule};
 pub use model::{annotations_from_predictions, GraphNer, TestOutput, TrainOutput};
 pub use persist::{load_model, save_model, PersistError};

@@ -113,9 +113,12 @@ fn get_f64<R: Read>(r: &mut R) -> Result<f64, PersistError> {
     Ok(f64::from_bits(get_u64(r)?))
 }
 
+/// Read a length prefix. Lengths come off an untrusted file, so readers
+/// never pre-size from them: every buffer grows only as its bytes
+/// actually arrive, and a lying prefix ends in a truncation error.
 fn get_len<R: Read>(r: &mut R, what: &str) -> Result<usize, PersistError> {
     let n = get_u64(r)?;
-    // an absurd length means a corrupt stream; fail before allocating
+    // an absurd length means a corrupt stream
     if n > (1 << 40) {
         return Err(bad(format!("implausible {what} length {n}")));
     }
@@ -124,8 +127,10 @@ fn get_len<R: Read>(r: &mut R, what: &str) -> Result<usize, PersistError> {
 
 fn get_str<R: Read>(r: &mut R) -> Result<String, PersistError> {
     let n = get_len(r, "string")?;
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::new();
+    if r.take(n as u64).read_to_end(&mut buf)? != n {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     String::from_utf8(buf).map_err(|_| bad("string is not valid UTF-8"))
 }
 
@@ -199,6 +204,9 @@ fn get_x_ref<R: Read>(r: &mut R) -> Result<FxHashMap<u32, LabelDist>, PersistErr
         for p in d.iter_mut() {
             *p = get_f64(r)?;
         }
+        if !crate::check::is_distribution(&d) {
+            return Err(bad(format!("reference distribution of vertex {v} is not a distribution")));
+        }
         x_ref.insert(v, d);
     }
     Ok(x_ref)
@@ -221,12 +229,12 @@ fn put_interner<W: Write>(w: &mut W, interner: &TrigramInterner) -> io::Result<(
 
 fn get_interner<R: Read>(r: &mut R) -> Result<TrigramInterner, PersistError> {
     let num_words = get_len(r, "vocabulary")?;
-    let mut words = Vec::with_capacity(num_words);
+    let mut words = Vec::new();
     for _ in 0..num_words {
         words.push(get_str(r)?);
     }
     let num_trigrams = get_len(r, "trigram list")?;
-    let mut trigrams = Vec::with_capacity(num_trigrams);
+    let mut trigrams = Vec::new();
     for _ in 0..num_trigrams {
         let mut tg = [0u32; 3];
         for word in tg.iter_mut() {
@@ -268,12 +276,12 @@ fn get_base<R: Read>(r: &mut R) -> Result<NerModel, PersistError> {
         o => return Err(bad(format!("unknown CRF order tag {o}"))),
     };
     let num_features = get_len(r, "feature index")?;
-    let mut features = Vec::with_capacity(num_features);
+    let mut features = Vec::new();
     for _ in 0..num_features {
         features.push(get_str(r)?);
     }
     let num_params = get_len(r, "parameter vector")?;
-    let mut params = Vec::with_capacity(num_params);
+    let mut params = Vec::new();
     for _ in 0..num_params {
         params.push(get_f64(r)?);
     }
@@ -308,18 +316,18 @@ fn put_corpus<W: Write>(w: &mut W, corpus: &Corpus) -> io::Result<()> {
 
 fn get_corpus<R: Read>(r: &mut R) -> Result<Corpus, PersistError> {
     let num_sentences = get_len(r, "corpus")?;
-    let mut sentences = Vec::with_capacity(num_sentences);
+    let mut sentences = Vec::new();
     for _ in 0..num_sentences {
         let id = get_str(r)?;
         let num_tokens = get_len(r, "sentence")?;
-        let mut tokens = Vec::with_capacity(num_tokens);
+        let mut tokens = Vec::new();
         for _ in 0..num_tokens {
             tokens.push(get_str(r)?);
         }
         let sentence = match get_u8(r)? {
             0 => Sentence::unlabelled(id, tokens),
             1 => {
-                let mut tags = Vec::with_capacity(num_tokens);
+                let mut tags = Vec::new();
                 for _ in 0..num_tokens {
                     let idx = get_u8(r)? as usize;
                     let tag = BioTag::try_from_index(idx)
@@ -373,6 +381,7 @@ pub fn read_model<R: Read>(r: &mut R) -> Result<GraphNer, PersistError> {
         return Err(bad(format!("unsupported format version {version} (expected {VERSION})")));
     }
     let cfg = get_config(r)?;
+    cfg.validate().map_err(|e| bad(format!("invalid configuration: {e}")))?;
     let mut transitions = [[0.0; NUM_TAGS]; NUM_TAGS];
     for row in transitions.iter_mut() {
         for t in row.iter_mut() {
@@ -380,11 +389,6 @@ pub fn read_model<R: Read>(r: &mut R) -> Result<GraphNer, PersistError> {
         }
     }
     let x_ref = get_x_ref(r)?;
-    if cfg!(debug_assertions) {
-        for d in x_ref.values() {
-            crate::check::assert_distribution("X_ref (loaded model)", d);
-        }
-    }
     let interner = get_interner(r)?;
     let base = get_base(r)?;
     let train_corpus = Arc::new(get_corpus(r)?);
@@ -492,6 +496,54 @@ mod tests {
         let mut future = bytes.clone();
         future[4] = 99; // version
         assert!(matches!(read_model(&mut future.as_slice()), Err(PersistError::Format(_))));
+    }
+
+    #[test]
+    fn lying_length_prefixes_are_rejected_without_preallocating() {
+        // a valid header, then a vocabulary claiming 2^40 words: the
+        // reader must hit end of stream, not allocate for the claim
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        put_u32(&mut bytes, VERSION).unwrap();
+        put_config(&mut bytes, &GraphNerConfig::default()).unwrap();
+        for _ in 0..NUM_TAGS * NUM_TAGS {
+            put_f64(&mut bytes, 1.0).unwrap();
+        }
+        put_u64(&mut bytes, 0).unwrap(); // empty x_ref
+        let header = bytes.len();
+        put_u64(&mut bytes, 1 << 40).unwrap(); // vocabulary length
+        assert!(read_model(&mut bytes.as_slice()).is_err());
+
+        // the same lie on a single string's length
+        bytes.truncate(header);
+        put_u64(&mut bytes, 1).unwrap();
+        put_u64(&mut bytes, 1 << 40).unwrap();
+        bytes.extend_from_slice(b"WT1");
+        assert!(matches!(read_model(&mut bytes.as_slice()), Err(PersistError::Io(_))));
+    }
+
+    #[test]
+    fn reference_rows_that_are_not_distributions_are_rejected() {
+        let mut model = toy_model();
+        model.x_ref.insert(0, [0.5, 0.5, 0.5]);
+        let mut bytes = Vec::new();
+        write_model(&model, &mut bytes).unwrap();
+        match read_model(&mut bytes.as_slice()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("vertex 0"), "{msg}"),
+            other => panic!("a non-distribution row loaded: {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn configs_that_fail_validation_are_rejected() {
+        let mut model = toy_model();
+        model.cfg.k = 0;
+        let mut bytes = Vec::new();
+        write_model(&model, &mut bytes).unwrap();
+        match read_model(&mut bytes.as_slice()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("k must be"), "{msg}"),
+            other => panic!("k = 0 model loaded: {:?}", other.err()),
+        }
     }
 
     #[test]

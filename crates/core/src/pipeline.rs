@@ -540,38 +540,24 @@ impl Tagger for GraphTagger {
     }
 
     /// Sentences are independent at serving time, so the batch path
-    /// fans out over the worker pool; order-preserving collection
-    /// keeps the result identical to sentence-by-sentence prediction.
+    /// fans out over the worker pool. Each sentence computes its
+    /// base-CRF posteriors once, checks them for non-finite entries,
+    /// and decodes from that same posterior slice. The order-preserving
+    /// collect plus the sequential error scan below keep the tags
+    /// identical to sentence-by-sentence prediction and make the
+    /// reported error the lowest offending batch index at any thread
+    /// count.
     ///
     /// The call records a `serve.tag_batch` span carrying the batch
     /// size and the pool-counter advance it caused, so batch traces
     /// show how much of the work the workers actually absorbed.
     // hot: parallel batch tagging, the serve-path throughput core
-    fn tag_batch(&self, sentences: &[Sentence]) -> Vec<Vec<BioTag>> {
-        let _s = span("serve.tag_batch");
-        attr("batch.sentences", sentences.len());
-        let before = rayon::pool_stats();
-        // alloc: one exact-size result Vec per batch
-        let out: Vec<Vec<BioTag>> = sentences.par_iter().map(|s| self.predict(s)).collect();
-        let delta = rayon::pool_stats().delta(&before);
-        attr("pool.threads", delta.threads);
-        attr("pool.jobs", delta.jobs_submitted);
-        attr("pool.chunks", delta.chunks_executed);
-        attr("pool.chunks_on_workers", delta.chunks_on_workers);
-        out
-    }
-
-    /// Fallible batch path with the same fan-out as `tag_batch`: each
-    /// sentence computes its base-CRF posteriors once, checks them for
-    /// non-finite entries, and decodes from that same posterior slice —
-    /// so a clean batch produces tags byte-identical to `tag_batch`.
-    /// The order-preserving collect plus the sequential error scan
-    /// below make the reported error the lowest offending batch index
-    /// at any thread count.
     fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
         validate_sentences(sentences)?;
         let _s = span("serve.tag_batch");
         attr("batch.sentences", sentences.len());
+        let before = rayon::pool_stats();
+        // alloc: one result slot per sentence, collected in batch order
         let per: Vec<Result<Vec<BioTag>, TagError>> = sentences
             .par_iter()
             .enumerate()
@@ -588,8 +574,15 @@ impl Tagger for GraphTagger {
                 ))
             })
             .collect();
+        let delta = rayon::pool_stats().delta(&before);
+        attr("pool.threads", delta.threads);
+        attr("pool.jobs", delta.jobs_submitted);
+        attr("pool.chunks", delta.chunks_executed);
+        attr("pool.chunks_on_workers", delta.chunks_on_workers);
+        // alloc: one exact-size result Vec per batch
         let mut out = Vec::with_capacity(per.len());
         for r in per {
+            // alloc: push into the exact-size output, never reallocates
             out.push(r?);
         }
         Ok(out)

@@ -6,7 +6,7 @@
 //! * [`brown`] — agglomerative Brown clustering over word bigrams, with
 //!   bit-path prefix features;
 //! * [`sgns`] — skip-gram negative-sampling word embeddings (word2vec);
-//! * [`kmeans`] — k-means over the embeddings, turning them into
+//! * [`kmeans`](mod@kmeans) — k-means over the embeddings, turning them into
 //!   discrete cluster-id features.
 
 // Index loops over parallel arrays are the clearest form for the

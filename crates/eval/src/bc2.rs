@@ -14,7 +14,7 @@
 
 use graphner_text::bc2::{AnnotationSet, Bc2Annotation};
 use graphner_text::sentence::tags_to_mentions;
-use graphner_text::{is_zero, Corpus, Tagger};
+use graphner_text::{is_zero, Corpus, TagError, Tagger};
 use rustc_hash::FxHashMap;
 
 /// Aggregate counts of an evaluation run.
@@ -178,22 +178,23 @@ pub fn evaluate(system: &AnnotationSet, gold: &AnnotationSet) -> Evaluation {
 /// This is the one-call evaluation path for anything implementing the
 /// trait — the base CRF, the LSTM-CRF baseline, or a GraphNER decode —
 /// replacing the per-model predict/convert/evaluate glue the experiment
-/// binaries used to duplicate.
+/// binaries used to duplicate. A batch the tagger refuses (an empty or
+/// over-long sentence, a non-finite posterior) returns its [`TagError`].
 pub fn evaluate_tagger(
     tagger: &impl Tagger,
     test: &Corpus,
     gold: &AnnotationSet,
-) -> (Evaluation, AnnotationSet) {
-    // one tag_batch call, so taggers with a parallel or batched
+) -> Result<(Evaluation, AnnotationSet), TagError> {
+    // one try_tag_batch call, so taggers with a parallel or batched
     // override get it on the evaluation path for free
-    let tags = tagger.tag_batch(&test.sentences);
+    let tags = tagger.try_tag_batch(&test.sentences)?;
     let mut detections = AnnotationSet::new();
     for (sentence, tags) in test.sentences.iter().zip(&tags) {
         for m in tags_to_mentions(tags) {
             detections.add_primary(Bc2Annotation::from_mention(sentence, &m));
         }
     }
-    (evaluate(&detections, gold), detections)
+    Ok((evaluate(&detections, gold), detections))
 }
 
 #[cfg(test)]
@@ -343,7 +344,7 @@ mod tests {
         ]);
         // gold: WT1 at space-free offsets 3..=5 in s1
         let gold = set(&[("s1", 3, 5)], &[]);
-        let (e, detections) = evaluate_tagger(&DigitTagger, &test, &gold);
+        let (e, detections) = evaluate_tagger(&DigitTagger, &test, &gold).unwrap();
         assert_eq!(e.totals, Counts { tp: 1, detections: 1, gold: 1 });
         assert_eq!(detections.primary["s1"][0].text, "WT1");
     }

@@ -3,11 +3,11 @@
 //! * [`bc2`] — the BioCreative II gene-mention scorer: exact span match
 //!   against primary mentions and their alternatives, with
 //!   `FN = primary − TP` and `FP = detections − TP`;
-//! * [`sigf`] — Padó's approximate-randomization significance test
+//! * [`sigf`](mod@sigf) — Padó's approximate-randomization significance test
 //!   (Yeh 2000), used for every null hypothesis in Table V;
 //! * [`stats`] — chi-square two-sample proportion tests with continuity
 //!   correction, used in the §III-E qualitative analysis;
-//! * [`upset`] — exclusive set-intersection regions (the UpSet plots of
+//! * [`upset`](mod@upset) — exclusive set-intersection regions (the UpSet plots of
 //!   Figures 4 and 5);
 //! * [`errors`] — false-positive extraction and gene-related/spurious
 //!   categorization against a generator oracle.

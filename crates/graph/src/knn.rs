@@ -2,14 +2,12 @@
 //!
 //! This is the paper's stated bottleneck — "computing the cosine
 //! similarity between all pairs of vertices would have a time complexity
-//! of O(V²F)" — and the reason GraphNER stays transductive. Two exact
-//! builders are provided:
-//!
-//! * [`knn_brute_force`] — the literal O(V²·nnz) pairwise scan, kept as
-//!   the reference implementation and the baseline in the `knn` bench;
-//! * [`knn_inverted_index`] — the same result computed by scatter-gather
-//!   over an inverted index (feature → postings), which skips all pairs
-//!   with no shared feature. This is the default used by GraphNER.
+//! of O(V²F)" — and the reason GraphNER stays transductive.
+//! [`knn_inverted_index`] computes the exact k-NN graph by
+//! scatter-gather over an inverted index (feature → postings), which
+//! skips all pairs with no shared feature. The literal O(V²·nnz)
+//! pairwise scan survives as the test-only `knn_brute_force` oracle
+//! the tests compare it against.
 //!
 //! Both are data-parallel over query vertices with rayon. Input vectors
 //! must be unit-normalized (as produced by
@@ -64,21 +62,20 @@ fn record_build_metrics(method: &str, adj: &[Vec<(u32, f32)>], candidate_pairs: 
     );
 }
 
-/// Exact k-NN by pairwise cosine over all vertex pairs.
+/// Exact k-NN by pairwise cosine over all vertex pairs: the parity
+/// oracle for [`knn_inverted_index`].
+#[cfg(test)]
 #[expect(
     clippy::cast_possible_truncation,
     reason = "j < n <= u32::MAX vertices and cosine sims are in [0, 1] where f32 keeps ranking precision"
 )]
-// hot: O(V^2) pairwise scoring, the graph-build bottleneck
-pub fn knn_brute_force(vectors: &[SparseVec], k: usize) -> KnnGraph {
+fn knn_brute_force(vectors: &[SparseVec], k: usize) -> KnnGraph {
     assert!(k > 0);
     let n = vectors.len();
     let candidate_pairs = AtomicU64::new(0);
-    // alloc: one adjacency row per vertex, the builder's output
     let adj: Vec<Vec<(u32, f32)>> = (0..n)
         .into_par_iter()
         .map(|i| {
-            // alloc: per-vertex candidate buffer, consumed by top_k
             let mut cands = Vec::new();
             for j in 0..n {
                 if i == j {
@@ -86,7 +83,6 @@ pub fn knn_brute_force(vectors: &[SparseVec], k: usize) -> KnnGraph {
                 }
                 let sim = vectors[i].dot(&vectors[j]);
                 if sim > 0.0 {
-                    // alloc: amortized push into the candidate buffer
                     cands.push((j as u32, sim as f32));
                 }
             }

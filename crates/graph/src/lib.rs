@@ -7,9 +7,9 @@
 //! * [`sparse`] — sparse feature vectors with merge-based dot products;
 //! * [`pmi`] — pointwise-mutual-information vertex representations over
 //!   3-gram/feature co-occurrence counts;
-//! * [`knn`] — exact cosine k-nearest-neighbour construction, both the
-//!   paper's O(V²F) brute force and an inverted-index equivalent, rayon
-//!   parallel;
+//! * [`knn`] — exact cosine k-nearest-neighbour construction over an
+//!   inverted index, rayon parallel (the paper's O(V²F) brute force is
+//!   its test oracle);
 //! * [`graph`] — the directed k-NN graph (CSR) with the §III-D
 //!   statistics: influence, influencees, weak connectivity;
 //! * [`shard`] — contiguous CSR partitions with precomputed weight
@@ -25,11 +25,11 @@ pub mod shard;
 pub mod sparse;
 
 pub use graph::{histogram, GraphBuildError, Histogram, KnnGraph, MAX_EDGES};
-pub use knn::{knn_brute_force, knn_inverted_index};
+pub use knn::knn_inverted_index;
 pub use pmi::VertexFeatureCounts;
 pub use propagate::{
-    propagate, propagate_partitioned, propagate_reference, LabelDist, PropagationParams,
-    PropagationReport, ACTIVE_SET_TOL, CONVERGENCE_TOL, UNIFORM,
+    propagate_partitioned, LabelDist, PropagationParams, PropagationReport, ACTIVE_SET_TOL,
+    CONVERGENCE_TOL, UNIFORM,
 };
 pub use shard::{Partition, Shard, ShardBalance, ShardSize, SweepSchedule};
 pub use sparse::SparseVec;

@@ -23,8 +23,9 @@
 //! order. Because every vertex still reads the previous iterate and
 //! `f64::max` is exact, the result is byte-identical to the unsharded
 //! update at any shard count and any `GRAPHNER_THREADS` — the
-//! unsharded implementation survives as [`propagate_reference`], the
-//! oracle the test suite compares against. Active-set scheduling
+//! unsharded implementation survives as the test-only
+//! `propagate_reference` oracle this module's tests compare against.
+//! Active-set scheduling
 //! (skip shards that stopped moving) is opt-in via
 //! [`SweepSchedule`](crate::shard::SweepSchedule) and changes results
 //! only within [`ACTIVE_SET_TOL`]-sized slack of the fixed point.
@@ -32,7 +33,7 @@
 #![warn(clippy::cast_possible_truncation)]
 
 use crate::graph::KnnGraph;
-use crate::shard::{Partition, ShardSize};
+use crate::shard::Partition;
 use graphner_obs::{obs_debug, obs_summary};
 use graphner_text::NUM_TAGS;
 use rayon::prelude::*;
@@ -190,8 +191,7 @@ fn debug_assert_simplex(ctx: &str, x: &[LabelDist]) {
     }
 }
 
-/// Convergence diagnostics of one [`propagate`] /
-/// [`propagate_partitioned`] call.
+/// Convergence diagnostics of one [`propagate_partitioned`] call.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PropagationReport {
     /// Sweeps actually executed (always `params.iterations`; the count
@@ -215,29 +215,16 @@ pub struct PropagationReport {
     pub boundary_edges: usize,
 }
 
-/// Propagate label distributions over the graph (Algorithm 1, line 7).
+/// Propagate label distributions over the graph (Algorithm 1, line 7)
+/// with the sharded engine: block-synchronous Jacobi sweeps, shard by
+/// shard through the worker pool.
 ///
 /// `x` holds the initial distributions (averaged CRF posteriors for
 /// vertices seen at test time); it is updated in place. Returns a
 /// [`PropagationReport`] with the per-call convergence diagnostics.
-///
-/// Convenience wrapper over [`propagate_partitioned`]: builds an
-/// auto-sized [`Partition`] and runs with active-set scheduling off,
-/// i.e. the paper-protocol semantics. Callers that propagate over the
-/// same graph repeatedly (ablation sweeps) should build the partition
-/// once and call the engine directly.
-pub fn propagate(
-    graph: &KnnGraph,
-    x: &mut Vec<LabelDist>,
-    x_ref: &[Option<LabelDist>],
-    params: &PropagationParams,
-) -> PropagationReport {
-    let partition = Partition::new(graph, ShardSize::Auto);
-    propagate_partitioned(graph, &partition, x, x_ref, params, false)
-}
-
-/// The sharded propagation engine: block-synchronous Jacobi sweeps,
-/// shard by shard through the worker pool.
+/// Build the [`Partition`] once per graph and reuse it across calls
+/// (ablation sweeps); `active_set = false` is the paper-protocol
+/// semantics.
 ///
 /// Every sweep splits the write buffer into the partition's contiguous
 /// shard blocks and fans them out; each shard computes its update and
@@ -254,7 +241,7 @@ pub fn propagate(
 /// runs are also byte-identical at any thread count; they differ from
 /// non-active-set runs by at most the [`ACTIVE_SET_TOL`]-bounded drift
 /// documented on the constant. `active_set = false` reproduces the
-/// unsharded [`propagate_reference`] output exactly.
+/// unsharded update exactly.
 pub fn propagate_partitioned(
     graph: &KnnGraph,
     partition: &Partition,
@@ -392,17 +379,17 @@ pub fn propagate_partitioned(
     report
 }
 
-/// The pre-shard-engine implementation, kept as the parity oracle: one
-/// monolithic parallel sweep over all vertices followed by a separate
-/// parallel residual reduction. [`propagate_partitioned`] with
-/// `active_set = false` must match its output byte-for-byte at any
-/// shard size — tests/properties.rs property-checks exactly that.
-/// Emits no metrics; it exists for tests and A/B benchmarks only.
+/// The pre-shard-engine implementation, kept as the test-only parity
+/// oracle: one monolithic parallel sweep over all vertices followed by
+/// a separate parallel residual reduction. [`propagate_partitioned`]
+/// with `active_set = false` must match its output byte-for-byte at any
+/// shard size — the tests below property-check exactly that.
+#[cfg(test)]
 #[expect(
     clippy::cast_possible_truncation,
     reason = "vertex ids fit u32: the graph builder caps V at u32::MAX"
 )]
-pub fn propagate_reference(
+fn propagate_reference(
     graph: &KnnGraph,
     x: &mut Vec<LabelDist>,
     x_ref: &[Option<LabelDist>],
@@ -458,6 +445,20 @@ pub fn propagate_reference(
 mod tests {
     use super::*;
     use crate::graph::KnnGraph;
+    use crate::shard::ShardSize;
+    use proptest::prelude::*;
+
+    /// The engine over an auto-sized partition with active-set
+    /// scheduling off: the paper-protocol propagation.
+    fn propagate(
+        graph: &KnnGraph,
+        x: &mut Vec<LabelDist>,
+        x_ref: &[Option<LabelDist>],
+        params: &PropagationParams,
+    ) -> PropagationReport {
+        let partition = Partition::new(graph, ShardSize::Auto);
+        propagate_partitioned(graph, &partition, x, x_ref, params, false)
+    }
 
     fn is_distribution(d: &LabelDist) -> bool {
         d.iter().all(|&p| p >= -1e-12) && (d.iter().sum::<f64>() - 1.0).abs() < 1e-9
@@ -711,19 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn propagate_wrapper_is_the_engine_with_auto_partition() {
-        let (g, x0, x_ref) = twelve();
-        let params = PropagationParams { mu: 0.3, nu: 0.1, iterations: 3, self_anchor: 0.0 };
-        let mut a = x0.clone();
-        let report_a = propagate(&g, &mut a, &x_ref, &params);
-        let partition = Partition::new(&g, ShardSize::Auto);
-        let mut b = x0.clone();
-        let report_b = propagate_partitioned(&g, &partition, &mut b, &x_ref, &params, false);
-        assert_eq!(a, b);
-        assert_eq!(report_a, report_b);
-    }
-
-    #[test]
     fn active_set_skips_converged_shards_and_stays_near_fixed_point() {
         // two disconnected halves: vertices 0–3 are isolated (fixed
         // point after one sweep → their shards deactivate and, having
@@ -765,5 +753,130 @@ mod tests {
         assert_eq!(report.shards_skipped, 0);
         assert_eq!(report.shards, 4);
         assert_eq!(report.boundary_edges, partition.boundary_edges());
+    }
+
+    // ---- randomized properties -----------------------------------------
+
+    /// Graph, initial beliefs, and reference distributions of one random
+    /// propagation problem.
+    type PropagationProblem = (KnnGraph, Vec<[f64; 3]>, Vec<Option<[f64; 3]>>);
+
+    /// Seeded random propagation problem: a `k`-out-degree graph over `n`
+    /// vertices (xorshift weights), random simplex beliefs, and a
+    /// reference distribution on every even vertex.
+    fn random_propagation_problem(n: usize, k: usize, seed: u64) -> PropagationProblem {
+        let mut state = seed.max(1);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let adj: Vec<Vec<(u32, f32)>> = (0..n)
+            .map(|i| {
+                (0..k)
+                    .map(|_| {
+                        let mut nb = (next() % n as u64) as u32;
+                        if nb as usize == i {
+                            nb = (nb + 1) % n as u32;
+                        }
+                        (nb, ((next() % 999) + 1) as f32 / 1000.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        let g = KnnGraph::from_adjacency(adj, k);
+        let x: Vec<[f64; 3]> = (0..n)
+            .map(|_| {
+                let a = ((next() % 1000) as f64 + 1.0) / 1001.0;
+                let b = ((next() % 1000) as f64 + 1.0) / 1001.0;
+                let c = ((next() % 1000) as f64 + 1.0) / 1001.0;
+                let z = a + b + c;
+                [a / z, b / z, c / z]
+            })
+            .collect();
+        let x_ref: Vec<Option<[f64; 3]>> =
+            (0..n).map(|i| if i % 2 == 0 { Some([0.6, 0.3, 0.1]) } else { None }).collect();
+        (g, x, x_ref)
+    }
+
+    proptest! {
+        #[test]
+        fn propagation_output_stays_in_simplex(
+            n in 2usize..20,
+            k in 1usize..4,
+            mu in 1e-6f64..1.0,
+            nu in 1e-6f64..1.0,
+            anchor in 0.0f64..2.0,
+            seed in 0u64..500,
+        ) {
+            let (g, mut x, x_ref) = random_propagation_problem(n, k, seed);
+            propagate(&g, &mut x, &x_ref, &PropagationParams {
+                mu, nu, iterations: 4, self_anchor: anchor,
+            });
+            for d in &x {
+                let s: f64 = d.iter().sum();
+                prop_assert!((s - 1.0).abs() < 1e-9, "sum {s}");
+                prop_assert!(d.iter().all(|&p| p >= -1e-12));
+            }
+        }
+
+        /// The sharded engine must reproduce the unsharded reference sweep
+        /// bit-for-bit on arbitrary graphs at arbitrary shard sizes. (CI
+        /// runs the suite under both `GRAPHNER_THREADS=1` and `=4`, so this
+        /// also pins the engine across pool sizes.)
+        #[test]
+        fn sharded_propagation_matches_reference_bitwise(
+            n in 2usize..24,
+            k in 1usize..4,
+            mu in 1e-6f64..1.0,
+            nu in 1e-6f64..1.0,
+            anchor in 0.0f64..2.0,
+            shard in 1usize..32,
+            seed in 0u64..500,
+        ) {
+            let (g, x0, x_ref) = random_propagation_problem(n, k, seed);
+            let params = PropagationParams { mu, nu, iterations: 4, self_anchor: anchor };
+            let mut expected = x0.clone();
+            let ref_report = propagate_reference(&g, &mut expected, &x_ref, &params);
+            let partition = Partition::new(&g, ShardSize::Fixed(shard));
+            let mut x = x0.clone();
+            let report = propagate_partitioned(&g, &partition, &mut x, &x_ref, &params, false);
+            for (a, b) in x.iter().zip(&expected) {
+                for (p, q) in a.iter().zip(b) {
+                    prop_assert_eq!(p.to_bits(), q.to_bits());
+                }
+            }
+            prop_assert_eq!(report.final_residual.to_bits(), ref_report.final_residual.to_bits());
+            prop_assert_eq!(report.shards_skipped, 0);
+        }
+
+        /// With the active-set scheduler on, skipped shards may lag the
+        /// reference, but never by more than the convergence tolerance.
+        /// (`nu >= 0.05` keeps the Jacobi contraction factor away from 1,
+        /// where the drift bound `ACTIVE_SET_TOL / (1 - rho)` loosens.)
+        #[test]
+        fn active_set_propagation_stays_within_tolerance(
+            n in 2usize..24,
+            k in 1usize..4,
+            mu in 1e-6f64..1.0,
+            nu in 0.05f64..1.0,
+            anchor in 0.0f64..2.0,
+            shard in 1usize..16,
+            seed in 0u64..500,
+        ) {
+            let (g, x0, x_ref) = random_propagation_problem(n, k, seed);
+            let params = PropagationParams { mu, nu, iterations: 8, self_anchor: anchor };
+            let mut expected = x0.clone();
+            propagate_reference(&g, &mut expected, &x_ref, &params);
+            let partition = Partition::new(&g, ShardSize::Fixed(shard));
+            let mut x = x0.clone();
+            propagate_partitioned(&g, &partition, &mut x, &x_ref, &params, true);
+            for (a, b) in x.iter().zip(&expected) {
+                for (p, q) in a.iter().zip(b) {
+                    prop_assert!((p - q).abs() <= CONVERGENCE_TOL, "diff {}", (p - q).abs());
+                }
+            }
+        }
     }
 }

@@ -39,7 +39,7 @@ pub enum ShardSize {
     /// `GRAPHNER_THREADS`.
     Auto,
     /// Exactly this many vertices per shard (the last shard may be
-    /// smaller). Must be non-zero; the core config builder validates
+    /// smaller). Must be non-zero; `GraphNerConfig::validate` checks
     /// this at the API boundary, and [`ShardSize::resolve`] asserts it.
     Fixed(usize),
 }

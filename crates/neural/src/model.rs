@@ -327,19 +327,12 @@ impl Tagger for TrainedLstmCrf {
     }
 
     /// Inference is per-sentence independent (the forward pass borrows
-    /// the frozen weights immutably), so the batch path parallelizes;
-    /// order-preserving collection keeps it identical to a sequential
-    /// pass.
-    fn tag_batch(&self, sentences: &[Sentence]) -> Vec<Vec<BioTag>> {
-        use rayon::prelude::*;
-        sentences.par_iter().map(|s| TrainedLstmCrf::predict(self, s)).collect()
-    }
-
-    /// Fallible batch path with the same fan-out as `tag_batch`, plus a
-    /// per-sentence finiteness check on the CRF-layer marginals. The
-    /// order-preserving collect means the sequential error scan below
-    /// always reports the lowest offending batch index, so the outcome
-    /// is deterministic at any thread count.
+    /// the frozen weights immutably), so the batch path parallelizes,
+    /// with a per-sentence finiteness check on the CRF-layer marginals.
+    /// The order-preserving collect keeps the tags identical to a
+    /// sequential pass, and the sequential error scan below always
+    /// reports the lowest offending batch index, so the outcome is
+    /// deterministic at any thread count.
     fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
         validate_sentences(sentences)?;
         use rayon::prelude::*;

@@ -1,8 +1,9 @@
 //! Heap accounting through a counting global allocator.
 //!
 //! With the `obs-alloc` cargo feature enabled, this module installs a
-//! zero-dependency [`GlobalAlloc`] wrapper around [`System`] that
-//! maintains two process-wide registers:
+//! zero-dependency [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper
+//! around [`System`](std::alloc::System) that maintains two
+//! process-wide registers:
 //!
 //! * **current** — live heap bytes (allocations minus deallocations);
 //! * **peak** — high-water mark of *current* since process start or
@@ -13,7 +14,7 @@
 //! guards: without the feature every read returns zero and
 //! [`enabled`] returns `false`.
 //!
-//! Span integration: when the feature is on, every [`crate::span`]
+//! Span integration: when the feature is on, every [`span`](crate::span())
 //! guard snapshots the registers at entry and attaches `mem.net_bytes`
 //! (signed live-byte delta) and `mem.peak_bytes` (peak-watermark
 //! advance over the entry level) to its [`crate::SpanRecord`] on drop.

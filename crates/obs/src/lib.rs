@@ -3,7 +3,7 @@
 //!
 //! Three pillars, each usable on its own:
 //!
-//! * [`span`] — nestable RAII wall-clock timers. `let _s =
+//! * [`span`](mod@span) — nestable RAII wall-clock timers. `let _s =
 //!   span("test.propagate");` records a [`SpanRecord`] into a global
 //!   registry when the guard drops. [`with_capture`] scopes a
 //!   deterministic view of the spans recorded by the current thread,

@@ -5,7 +5,7 @@
 //! # Ordering argument (why batching is invisible to clients)
 //!
 //! Every tagger in the workspace satisfies the [`Tagger`] contract
-//! that `tag_batch`/`try_tag_batch` equal independent per-sentence
+//! that `try_tag_batch` equals independent per-sentence
 //! prediction, in input order. The batcher concatenates the sentences
 //! of requests `r1..rn` in queue (FIFO) order, tags the concatenation
 //! once, and splits the result back by each request's sentence count —

@@ -273,10 +273,9 @@ fn latency_stage(name: &str, seconds: f64) -> StageResult {
 /// ephemeral port.
 fn start_in_process(scale: f64, deadline_ms: u64) -> ServerHandle {
     eprintln!("loadgen: no --addr, starting in-process server (scale {scale})");
-    let cfg = GraphNerConfig::builder()
-        .deadline_ms(deadline_ms)
-        .build()
-        .expect("default serve config with CLI deadline");
+    let mut cfg = GraphNerConfig::default();
+    cfg.serve.deadline_ms = deadline_ms;
+    cfg.validate().expect("default serve config with CLI deadline");
     let profile = CorpusProfile::bc2gm().scaled(scale);
     let corpus = generate(&profile);
     let opts = RunOptions { scale, ..RunOptions::default() };

@@ -9,7 +9,7 @@
 //!
 //! Endpoints: `POST /v1/tag` (newline-delimited sentences in,
 //! `token\tTAG` lines out), `GET /healthz`, `GET /metrics`. The serving
-//! knobs flow through `GraphNerConfig::builder()`, so invalid values
+//! knobs go through `GraphNerConfig::validate`, so invalid values
 //! (zero, over the caps) die with a typed error at startup rather than
 //! misbehaving under load.
 
@@ -87,23 +87,16 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let mut builder = GraphNerConfig::builder();
-    if let Some(v) = args.queue_capacity {
-        builder = builder.queue_capacity(v);
-    }
-    if let Some(v) = args.max_batch {
-        builder = builder.max_batch(v);
-    }
-    if let Some(v) = args.linger_us {
-        builder = builder.linger_us(v);
-    }
-    if let Some(v) = args.deadline_ms {
-        builder = builder.deadline_ms(v);
-    }
-    let cfg = builder.build().unwrap_or_else(|e| {
+    let mut cfg = GraphNerConfig::default();
+    let serve = &mut cfg.serve;
+    serve.queue_capacity = args.queue_capacity.unwrap_or(serve.queue_capacity);
+    serve.max_batch = args.max_batch.unwrap_or(serve.max_batch);
+    serve.linger_us = args.linger_us.unwrap_or(serve.linger_us);
+    serve.deadline_ms = args.deadline_ms.unwrap_or(serve.deadline_ms);
+    if let Err(e) = cfg.validate() {
         eprintln!("graphner-serve: invalid configuration: {e}");
         std::process::exit(2);
-    });
+    }
 
     eprintln!("graphner-serve: training smoke model at scale {}", args.scale);
     let profile = CorpusProfile::bc2gm().scaled(args.scale);

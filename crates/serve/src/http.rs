@@ -2,17 +2,27 @@
 //! `POST /v1/tag`, `GET /healthz`, and `GET /metrics` over keep-alive
 //! connections, per the workspace's zero-dependency policy.
 //!
-//! Supported: request line + headers, `Content-Length` bodies (capped
-//! at [`MAX_BODY_BYTES`]), `Connection: close`. Not supported (and
-//! answered with an error rather than misparsed): any
-//! `Transfer-Encoding` (501), continuation lines, bodies above the cap.
+//! Supported: request line + headers (each line capped at
+//! [`MAX_HEADER_LINE_BYTES`], at most [`MAX_HEADERS`] headers),
+//! `Content-Length` bodies (capped at [`MAX_BODY_BYTES`]),
+//! `Connection: close`. Not supported (and answered with an error
+//! rather than misparsed): any `Transfer-Encoding` (501), continuation
+//! lines, heads or bodies above the caps (431, 413).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest request body accepted — 1 MiB of newline-delimited
 /// sentences is far beyond any sane tagging request and keeps one
 /// client from ballooning server memory.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest request or header line accepted, line ending included. The
+/// reader never buffers more than this per line, so a newline-free
+/// stream cannot grow server memory.
+pub const MAX_HEADER_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+pub const MAX_HEADERS: usize = 64;
 
 /// A parse/transport failure while reading one request.
 #[derive(Debug)]
@@ -28,6 +38,10 @@ pub enum HttpError {
     /// The request carries a `Transfer-Encoding` (e.g. chunked). Its
     /// body is left unread, so the connection cannot be reused.
     TransferEncoding,
+    /// A request or header line exceeds [`MAX_HEADER_LINE_BYTES`], or
+    /// there are more than [`MAX_HEADERS`] headers; the message names
+    /// which. The rest of the head is left unread.
+    HeaderTooLarge(&'static str),
 }
 
 impl std::fmt::Display for HttpError {
@@ -42,6 +56,7 @@ impl std::fmt::Display for HttpError {
             HttpError::TransferEncoding => {
                 write!(f, "transfer-encoding is not supported; send a content-length body")
             }
+            HttpError::HeaderTooLarge(what) => write!(f, "request head too large: {what}"),
         }
     }
 }
@@ -81,24 +96,31 @@ impl Request {
     }
 }
 
-/// Read one CRLF- (or bare-LF-) terminated line, without the ending.
-fn read_line(reader: &mut impl BufRead) -> Result<String, HttpError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
+/// Read one CRLF- (or bare-LF-) terminated line, without the ending,
+/// consuming at most [`MAX_HEADER_LINE_BYTES`]; `what` names the line
+/// in the [`HttpError::HeaderTooLarge`] a longer one gets.
+fn read_line(reader: &mut impl BufRead, what: &'static str) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    let n = reader.take(MAX_HEADER_LINE_BYTES as u64).read_until(b'\n', &mut line)?;
     if n == 0 {
         return Err(HttpError::Eof);
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
+    if n == MAX_HEADER_LINE_BYTES && !line.ends_with(b"\n") {
+        return Err(HttpError::HeaderTooLarge(what));
+    }
+    while line.ends_with(b"\n") || line.ends_with(b"\r") {
         line.pop();
     }
-    Ok(line)
+    String::from_utf8(line).map_err(|_| {
+        HttpError::Io(io::Error::new(io::ErrorKind::InvalidData, "request head is not UTF-8"))
+    })
 }
 
 /// Parse one request off the wire. Blocks until a full request (or the
 /// reader's own timeout) arrives; [`HttpError::Eof`] on a connection
 /// the peer closed between requests.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-    let request_line = read_line(reader)?;
+    let request_line = read_line(reader, "request line too long")?;
     let mut parts = request_line.split_ascii_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) => (m, p, v),
@@ -112,9 +134,12 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader)?;
+        let line = read_line(reader, "header line too long")?;
         if line.is_empty() {
             break;
+        }
+        if headers.len() == MAX_HEADERS {
+            return Err(HttpError::HeaderTooLarge("too many headers"));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::Malformed("header line without a colon"));
@@ -150,6 +175,7 @@ pub fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
         503 => "Service Unavailable",
@@ -236,6 +262,47 @@ mod tests {
         let raw =
             b"POST /v1/tag HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
         assert!(matches!(parse(raw), Err(HttpError::TransferEncoding)));
+    }
+
+    /// Parse a head that must be refused as too large from a plain byte
+    /// slice (no read-ahead buffer); returns which cap it hit and how
+    /// many bytes the parser consumed.
+    fn refused_head(raw: &[u8]) -> (&'static str, usize) {
+        let mut rest = raw;
+        match read_request(&mut rest) {
+            Err(HttpError::HeaderTooLarge(what)) => (what, raw.len() - rest.len()),
+            other => panic!("expected HeaderTooLarge, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_over_long_lines_without_reading_past_the_cap() {
+        let long = vec![b'a'; 2 * MAX_HEADER_LINE_BYTES];
+        let request_line = [b"GET /".as_slice(), &long].concat();
+        assert_eq!(refused_head(&request_line), ("request line too long", MAX_HEADER_LINE_BYTES));
+
+        let head = b"GET / HTTP/1.1\r\n";
+        let header_line = [head.as_slice(), b"X-Long: ", &long].concat();
+        let cap = head.len() + MAX_HEADER_LINE_BYTES;
+        assert_eq!(refused_head(&header_line), ("header line too long", cap));
+
+        // a line of exactly the cap, ending included, is accepted
+        let fits = format!("GET /{} HTTP/1.1\r\n", "a".repeat(MAX_HEADER_LINE_BYTES - 16));
+        assert_eq!(fits.len(), MAX_HEADER_LINE_BYTES);
+        assert!(parse(format!("{fits}\r\n").as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn rejects_too_many_headers_without_reading_past_the_cap() {
+        let mut raw = String::from("GET / HTTP/1.1\r\n");
+        for i in 0..MAX_HEADERS {
+            raw.push_str(&format!("X-H{i}: v\r\n"));
+        }
+        assert!(parse(format!("{raw}\r\n").as_bytes()).is_ok());
+        raw.push_str("X-Extra: v\r\n");
+        let head = raw.len();
+        raw.push_str("X-Unread: v\r\n\r\n");
+        assert_eq!(refused_head(raw.as_bytes()), ("too many headers", head));
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl Default for ServeMetrics {
 /// Render one request's tags in the wire format: `token\tTAG` per
 /// token, a blank line after each sentence. Shared by the server and
 /// the determinism suite, so "server output equals offline
-/// `tag_batch`" is a comparison of identical renderings.
+/// `try_tag_batch`" is a comparison of identical renderings.
 pub fn render_tags(sentences: &[Sentence], tags: &[Vec<BioTag>]) -> String {
     let mut out = String::new();
     for (sentence, sentence_tags) in sentences.iter().zip(tags) {
@@ -269,6 +269,17 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
                 );
                 return;
             }
+            Err(HttpError::HeaderTooLarge(what)) => {
+                // the rest of the head is unread, so the stream cannot
+                // be resynchronised: answer and close
+                let _ = write_response(
+                    &mut writer,
+                    431,
+                    &[("Connection", "close")],
+                    format!("request head too large: {what}\n").as_bytes(),
+                );
+                return;
+            }
             Err(HttpError::Malformed(what)) => {
                 let _ = write_response(
                     &mut writer,
@@ -431,6 +442,23 @@ mod tests {
         let text = String::from_utf8(raw).unwrap();
         assert!(text.starts_with("HTTP/1.1 501 Not Implemented\r\n"), "{text}");
         assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn newline_free_request_gets_431_and_the_connection_closes() {
+        let server = start(AllO, ServeConfig::default(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        // fail rather than hang if the server keeps reading the flood
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut flood = b"GET /".to_vec();
+        flood.resize(crate::http::MAX_HEADER_LINE_BYTES + 1, b'a');
+        stream.write_all(&flood).unwrap();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let text = String::from_utf8(raw).unwrap();
+        assert!(text.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"), "{text}");
+        assert!(text.contains("Connection: close\r\n"), "{text}");
         server.shutdown();
     }
 

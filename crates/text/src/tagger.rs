@@ -10,30 +10,28 @@
 //! helpers and experiment binaries can be written once against
 //! `impl Tagger` instead of duplicating per-model glue.
 
-use crate::corpus::Corpus;
 use crate::sentence::Sentence;
 use crate::tag::{BioTag, NUM_TAGS};
 
-/// Hard cap on the tokens a single sentence may carry through the
-/// fallible tagging path. The trained models are all linear in sentence
-/// length, but serving-path memory is not unbounded: a request carrying
-/// a megabyte on one line would otherwise allocate lattices and
-/// posterior rows to match. Biomedical sentences run a few dozen
+/// Hard cap on the tokens a single sentence may carry through
+/// [`Tagger::try_tag_batch`]. The trained models are all linear in
+/// sentence length, but serving-path memory is not unbounded: a request
+/// carrying a megabyte on one line would otherwise allocate lattices
+/// and posterior rows to match. Biomedical sentences run a few dozen
 /// tokens; 512 is far above anything a real corpus produces.
 pub const MAX_SENTENCE_TOKENS: usize = 512;
 
-/// A rejected fallible-tagging call: which sentence of the batch was
-/// unusable and why. The infallible [`Tagger::tag_batch`] path keeps
-/// its panic-free-by-invariant contract for trusted corpora; this type
-/// is how the same models refuse *adversarial* input (an empty request
-/// line, a pathologically long sentence, a numerically broken
-/// posterior) at the API boundary instead of deep inside a decode.
+/// A rejected [`Tagger::try_tag_batch`] call: which sentence of the
+/// batch was unusable and why. This type is how the models refuse
+/// *adversarial* input (an empty request line, a pathologically long
+/// sentence, a numerically broken posterior) at the API boundary
+/// instead of deep inside a decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TagError {
-    /// Sentence `index` of the batch has zero tokens. Batch taggers
-    /// treat empty sentences as empty outputs, but a serving request
-    /// with an empty line is almost always a malformed payload, so the
-    /// fallible path surfaces it instead of silently returning nothing.
+    /// Sentence `index` of the batch has zero tokens. `predict` maps an
+    /// empty sentence to an empty output, but a serving request with an
+    /// empty line is almost always a malformed payload, so the batch
+    /// path surfaces it instead of silently returning nothing.
     EmptySentence {
         /// Batch position of the offending sentence.
         index: usize,
@@ -127,40 +125,29 @@ pub trait Tagger {
         NUM_TAGS
     }
 
-    /// Predict a batch of sentences, in input order — the one entry
-    /// point for serving and evaluation paths that tag many sentences
-    /// at once. The provided implementation predicts sequentially;
-    /// implementations whose `predict` is independent per sentence
-    /// (every tagger in this workspace) may override it with a
-    /// parallel or genuinely batched pass, as long as the returned
-    /// tags are identical to sentence-by-sentence prediction.
-    // hot: the serving batch entry point every tagger inherits
-    fn tag_batch(&self, sentences: &[Sentence]) -> Vec<Vec<BioTag>> {
-        // alloc: one exact-size result Vec per batch
-        sentences.iter().map(|s| self.predict(s)).collect()
-    }
-
-    /// Fallible batch prediction — the request-path twin of
-    /// [`tag_batch`](Tagger::tag_batch). Where `tag_batch` trusts its
-    /// caller (benchmark corpora, evaluation splits) and upholds the
-    /// trait invariants by construction, `try_tag_batch` treats the
-    /// batch as untrusted input: it shape-validates every sentence
-    /// ([`validate_sentences`]) and returns a typed [`TagError`]
-    /// instead of panicking or silently degenerating.
+    /// Predict a batch of sentences, in input order — the one batch
+    /// entry point for serving and evaluation. The batch is treated as
+    /// untrusted input: every sentence is shape-validated
+    /// ([`validate_sentences`]) and its posteriors checked for
+    /// non-finite entries ([`check_posteriors_finite`]) before its
+    /// prediction is trusted, so a bad batch returns a typed
+    /// [`TagError`] instead of panicking or silently degenerating.
     ///
-    /// On a batch that passes validation the result is **identical**
-    /// to `tag_batch` — implementations overriding this method (to add
-    /// posterior-finiteness checks or parallelism) must preserve that,
-    /// so serving through the fallible path stays byte-identical to
-    /// offline tagging.
+    /// On a batch that passes the checks the result is **identical**
+    /// to sentence-by-sentence [`predict`](Tagger::predict).
+    /// Implementations may override this with a parallel or genuinely
+    /// batched pass as long as they preserve that, and report the error
+    /// of the lowest offending batch index.
     fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
         validate_sentences(sentences)?;
-        Ok(self.tag_batch(sentences))
-    }
-
-    /// Predict every sentence of a corpus, in corpus order.
-    fn predict_corpus(&self, corpus: &Corpus) -> Vec<Vec<BioTag>> {
-        self.tag_batch(&corpus.sentences)
+        sentences
+            .iter()
+            .enumerate()
+            .map(|(index, s)| {
+                check_posteriors_finite(index, &self.posteriors(s))?;
+                Ok(self.predict(s))
+            })
+            .collect()
     }
 }
 
@@ -177,16 +164,8 @@ impl<T: Tagger + ?Sized> Tagger for &T {
         (**self).tag_count()
     }
 
-    fn tag_batch(&self, sentences: &[Sentence]) -> Vec<Vec<BioTag>> {
-        (**self).tag_batch(sentences)
-    }
-
     fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
         (**self).try_tag_batch(sentences)
-    }
-
-    fn predict_corpus(&self, corpus: &Corpus) -> Vec<Vec<BioTag>> {
-        (**self).predict_corpus(corpus)
     }
 }
 
@@ -196,6 +175,7 @@ mod tests {
     use crate::tag::BioTag::*;
 
     /// A toy tagger: everything is O except tokens that contain a digit.
+    /// Its posteriors are NaN on sentences whose id starts with `nan`.
     struct DigitTagger;
 
     impl Tagger for DigitTagger {
@@ -212,7 +192,7 @@ mod tests {
                 .into_iter()
                 .map(|t| {
                     let mut d = [0.0; NUM_TAGS];
-                    d[t.index()] = 1.0;
+                    d[t.index()] = if sentence.id.starts_with("nan") { f64::NAN } else { 1.0 };
                     d
                 })
                 .collect()
@@ -220,25 +200,31 @@ mod tests {
     }
 
     #[test]
-    fn default_methods_cover_corpus_and_tag_count() {
+    fn try_tag_batch_matches_per_sentence_predict() {
         let tagger = DigitTagger;
         assert_eq!(tagger.tag_count(), NUM_TAGS);
-        let corpus = Corpus::from_sentences(vec![
-            Sentence::unlabelled("a", vec!["the".into(), "WT1".into()]),
-            Sentence::unlabelled("b", vec!["no".into()]),
-        ]);
-        let preds = tagger.predict_corpus(&corpus);
-        assert_eq!(preds, vec![vec![O, B], vec![O]]);
-    }
-
-    #[test]
-    fn try_tag_batch_matches_tag_batch_on_valid_input() {
-        let tagger = DigitTagger;
         let batch = vec![
             Sentence::unlabelled("a", vec!["the".into(), "WT1".into()]),
             Sentence::unlabelled("b", vec!["no".into()]),
         ];
-        assert_eq!(tagger.try_tag_batch(&batch).unwrap(), tagger.tag_batch(&batch));
+        let per_sentence: Vec<Vec<BioTag>> = batch.iter().map(|s| tagger.predict(s)).collect();
+        assert_eq!(tagger.try_tag_batch(&batch).unwrap(), per_sentence);
+        assert_eq!(per_sentence, vec![vec![O, B], vec![O]]);
+    }
+
+    #[test]
+    fn try_tag_batch_reports_the_first_non_finite_posterior() {
+        let batch: Vec<Sentence> = (0..7)
+            .map(|i| {
+                let id = if i == 2 || i == 5 { format!("nan{i}") } else { format!("s{i}") };
+                Sentence::unlabelled(id, vec!["WT1".into()])
+            })
+            .collect();
+        assert_eq!(
+            DigitTagger.try_tag_batch(&batch),
+            Err(TagError::NonFinitePosterior { index: 2, token: 0 })
+        );
+        assert!(DigitTagger.try_tag_batch(&batch[..2]).is_ok());
     }
 
     #[test]

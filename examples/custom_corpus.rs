@@ -42,7 +42,8 @@ fn main() {
             .collect(),
     );
 
-    let graph_cfg = GraphNerConfig::builder().build().expect("defaults are valid");
+    let graph_cfg = GraphNerConfig::default();
+    graph_cfg.validate().expect("defaults are valid");
     let (model, _) = GraphNer::train(&train, &NerConfig::default(), None, graph_cfg);
 
     // New, unlabelled abstracts.

@@ -29,10 +29,11 @@ fn main() {
     ]);
 
     // TRAIN: fits the base CRF (a BANNER-style feature-rich tagger) and
-    // the reference label distributions over training 3-grams. The
-    // builder validates the configuration up front (k = 0, a
+    // the reference label distributions over training 3-grams.
+    // `validate` checks the configuration up front (k = 0, a
     // non-simplex alpha, zero iterations, … are typed errors).
-    let graph_cfg = GraphNerConfig::builder().build().expect("Table IV defaults are valid");
+    let graph_cfg = GraphNerConfig::default();
+    graph_cfg.validate().expect("Table IV defaults are valid");
     let (model, report) = GraphNer::train(
         &train,
         &NerConfig::default(),

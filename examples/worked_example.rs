@@ -63,7 +63,8 @@ fn main() {
         train: TrainConfig { max_iterations: 100, l2: 1.0, ..Default::default() },
         ..Default::default()
     };
-    let graph_cfg = GraphNerConfig::builder().build().expect("defaults are valid");
+    let graph_cfg = GraphNerConfig::default();
+    graph_cfg.validate().expect("defaults are valid");
     let (model, _) = GraphNer::train(&train, &cfg, None, graph_cfg);
 
     // Unlabelled test data: an unseen "wilms tumor - 1" variant, plus

@@ -40,8 +40,8 @@ pub mod prelude {
     //! `use graphner::prelude::*;` brings in the types of the whole
     //! workflow — build a [`Corpus`] of [`Sentence`]s (or [`generate`]
     //! a synthetic one from a [`CorpusProfile`]), configure the base
-    //! CRF with [`NerConfig`] and GraphNER with
-    //! [`GraphNerConfig::builder`], train a [`GraphNer`], test it
+    //! CRF with [`NerConfig`] and GraphNER with [`GraphNerConfig`]
+    //! (checked by [`GraphNerConfig::validate`]), train a [`GraphNer`], test it
     //! transductively (directly or through a cached [`TestSession`]),
     //! freeze a serving-style [`GraphTagger`], persist with
     //! [`save_model`]/[`load_model`], and score any [`Tagger`] with
@@ -51,8 +51,8 @@ pub mod prelude {
     pub use graphner_banner::NerConfig;
     pub use graphner_core::{
         annotations_from_predictions, load_model, save_model, ConfigError, GraphNer,
-        GraphNerConfig, GraphNerConfigBuilder, GraphTagger, ServeConfig, ShardSize, SweepSchedule,
-        TestOutput, TestSession,
+        GraphNerConfig, GraphTagger, ServeConfig, ShardSize, SweepSchedule, TestOutput,
+        TestSession,
     };
     pub use graphner_corpusgen::{generate, CorpusProfile};
     pub use graphner_crf::TrainConfig;

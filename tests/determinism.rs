@@ -15,7 +15,7 @@
 )]
 
 use graphner::banner::NerConfig;
-use graphner::core::{GraphNer, GraphNerConfig, ShardSize, TestOutput, TestSession};
+use graphner::core::{GraphNer, GraphNerConfig, ShardSize, SweepSchedule, TestOutput, TestSession};
 use graphner::corpusgen::{generate, CorpusProfile};
 use graphner::crf::TrainConfig;
 
@@ -24,6 +24,16 @@ fn quick_cfg() -> NerConfig {
         train: TrainConfig { max_iterations: 60, ..Default::default() },
         ..Default::default()
     }
+}
+
+/// The Table IV defaults under a given sweep schedule, validated.
+fn scheduled(shard_size: ShardSize, active_set: bool) -> GraphNerConfig {
+    let cfg = GraphNerConfig {
+        schedule: SweepSchedule { shard_size, active_set },
+        ..GraphNerConfig::default()
+    };
+    cfg.validate().expect("valid config");
+    cfg
 }
 
 /// Canonical byte rendering of a [`TestOutput`], excluding the timing
@@ -76,8 +86,8 @@ fn full_pipeline_dump() -> String {
         GraphNerConfig { alpha: 0.5, ..GraphNerConfig::default() },
         // sweep-schedule rows: a deliberately awkward fixed shard size,
         // and the active-set scheduler — both must be thread-invariant
-        GraphNerConfig::builder().shard_size(ShardSize::Fixed(7)).build().expect("valid config"),
-        GraphNerConfig::builder().active_set(true).build().expect("valid config"),
+        scheduled(ShardSize::Fixed(7), false),
+        scheduled(ShardSize::Auto, true),
     ];
     for cfg in &variants {
         dump.push_str("ablation_row:\n");
@@ -185,7 +195,7 @@ fn shard_size_never_changes_pipeline_output() {
     let mut session = TestSession::new(&model, &unlabelled);
     let baseline = session.run(model.config());
     for size in [ShardSize::Fixed(1), ShardSize::Fixed(7), ShardSize::Fixed(4096)] {
-        let cfg = GraphNerConfig::builder().shard_size(size).build().expect("valid config");
+        let cfg = scheduled(size, false);
         let out = session.run(&cfg);
         assert_eq!(out.predictions, baseline.predictions, "predictions changed under {size:?}");
         assert_eq!(
@@ -204,11 +214,7 @@ fn active_set_runs_are_reproducible() {
     let corpus = generate(&CorpusProfile::bc2gm().scaled(0.02));
     let (model, _) = GraphNer::train(&corpus.train, &quick_cfg(), None, GraphNerConfig::default());
     let unlabelled = corpus.test.without_tags();
-    let cfg = GraphNerConfig::builder()
-        .shard_size(ShardSize::Fixed(64))
-        .active_set(true)
-        .build()
-        .expect("valid config");
+    let cfg = scheduled(ShardSize::Fixed(64), true);
     let out_a = TestSession::new(&model, &unlabelled).run(&cfg);
     let out_b = TestSession::new(&model, &unlabelled).run(&cfg);
     assert_eq!(canonical(&out_a), canonical(&out_b));

@@ -2,10 +2,7 @@
 
 use graphner::core::check;
 use graphner::crf::{viterbi_tags, ChainCrf, Order, SentenceFeatures};
-use graphner::graph::{
-    knn_inverted_index, propagate, propagate_partitioned, propagate_reference, KnnGraph, Partition,
-    PropagationParams, ShardSize, SparseVec, CONVERGENCE_TOL,
-};
+use graphner::graph::{knn_inverted_index, SparseVec};
 use graphner::text::sentence::{mentions_to_tags, tags_to_mentions};
 use graphner::text::{tokenize, BioTag, Mention, Sentence};
 use proptest::prelude::*;
@@ -17,49 +14,6 @@ fn arb_tags(max_len: usize) -> impl Strategy<Value = Vec<BioTag>> {
         graphner::text::tag::repair_bio(&mut tags);
         tags
     })
-}
-
-/// Graph, initial beliefs, and reference distributions of one random
-/// propagation problem.
-type PropagationProblem = (KnnGraph, Vec<[f64; 3]>, Vec<Option<[f64; 3]>>);
-
-/// Seeded random propagation problem: a `k`-out-degree graph over `n`
-/// vertices (xorshift weights), random simplex beliefs, and a
-/// reference distribution on every even vertex.
-fn random_propagation_problem(n: usize, k: usize, seed: u64) -> PropagationProblem {
-    let mut state = seed.max(1);
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let adj: Vec<Vec<(u32, f32)>> = (0..n)
-        .map(|i| {
-            (0..k)
-                .map(|_| {
-                    let mut nb = (next() % n as u64) as u32;
-                    if nb as usize == i {
-                        nb = (nb + 1) % n as u32;
-                    }
-                    (nb, ((next() % 999) + 1) as f32 / 1000.0)
-                })
-                .collect()
-        })
-        .collect();
-    let g = KnnGraph::from_adjacency(adj, k);
-    let x: Vec<[f64; 3]> = (0..n)
-        .map(|_| {
-            let a = ((next() % 1000) as f64 + 1.0) / 1001.0;
-            let b = ((next() % 1000) as f64 + 1.0) / 1001.0;
-            let c = ((next() % 1000) as f64 + 1.0) / 1001.0;
-            let z = a + b + c;
-            [a / z, b / z, c / z]
-        })
-        .collect();
-    let x_ref: Vec<Option<[f64; 3]>> =
-        (0..n).map(|i| if i % 2 == 0 { Some([0.6, 0.3, 0.1]) } else { None }).collect();
-    (g, x, x_ref)
 }
 
 proptest! {
@@ -199,84 +153,6 @@ proptest! {
                 t
             }).collect();
             prop_assert!(score(&tags) <= best_score + 1e-9);
-        }
-    }
-
-    #[test]
-    fn propagation_output_stays_in_simplex(
-        n in 2usize..20,
-        k in 1usize..4,
-        mu in 1e-6f64..1.0,
-        nu in 1e-6f64..1.0,
-        anchor in 0.0f64..2.0,
-        seed in 0u64..500,
-    ) {
-        let (g, mut x, x_ref) = random_propagation_problem(n, k, seed);
-        propagate(&g, &mut x, &x_ref, &PropagationParams {
-            mu, nu, iterations: 4, self_anchor: anchor,
-        });
-        for d in &x {
-            let s: f64 = d.iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-9, "sum {s}");
-            prop_assert!(d.iter().all(|&p| p >= -1e-12));
-        }
-    }
-
-    /// The sharded engine must reproduce the unsharded reference sweep
-    /// bit-for-bit on arbitrary graphs at arbitrary shard sizes. (CI
-    /// runs the suite under both `GRAPHNER_THREADS=1` and `=4`, so this
-    /// also pins the engine across pool sizes.)
-    #[test]
-    fn sharded_propagation_matches_reference_bitwise(
-        n in 2usize..24,
-        k in 1usize..4,
-        mu in 1e-6f64..1.0,
-        nu in 1e-6f64..1.0,
-        anchor in 0.0f64..2.0,
-        shard in 1usize..32,
-        seed in 0u64..500,
-    ) {
-        let (g, x0, x_ref) = random_propagation_problem(n, k, seed);
-        let params = PropagationParams { mu, nu, iterations: 4, self_anchor: anchor };
-        let mut expected = x0.clone();
-        let ref_report = propagate_reference(&g, &mut expected, &x_ref, &params);
-        let partition = Partition::new(&g, ShardSize::Fixed(shard));
-        let mut x = x0.clone();
-        let report = propagate_partitioned(&g, &partition, &mut x, &x_ref, &params, false);
-        for (a, b) in x.iter().zip(&expected) {
-            for (p, q) in a.iter().zip(b) {
-                prop_assert_eq!(p.to_bits(), q.to_bits());
-            }
-        }
-        prop_assert_eq!(report.final_residual.to_bits(), ref_report.final_residual.to_bits());
-        prop_assert_eq!(report.shards_skipped, 0);
-    }
-
-    /// With the active-set scheduler on, skipped shards may lag the
-    /// reference, but never by more than the convergence tolerance.
-    /// (`nu >= 0.05` keeps the Jacobi contraction factor away from 1,
-    /// where the drift bound `ACTIVE_SET_TOL / (1 - rho)` loosens.)
-    #[test]
-    fn active_set_propagation_stays_within_tolerance(
-        n in 2usize..24,
-        k in 1usize..4,
-        mu in 1e-6f64..1.0,
-        nu in 0.05f64..1.0,
-        anchor in 0.0f64..2.0,
-        shard in 1usize..16,
-        seed in 0u64..500,
-    ) {
-        let (g, x0, x_ref) = random_propagation_problem(n, k, seed);
-        let params = PropagationParams { mu, nu, iterations: 8, self_anchor: anchor };
-        let mut expected = x0.clone();
-        propagate_reference(&g, &mut expected, &x_ref, &params);
-        let partition = Partition::new(&g, ShardSize::Fixed(shard));
-        let mut x = x0.clone();
-        propagate_partitioned(&g, &partition, &mut x, &x_ref, &params, true);
-        for (a, b) in x.iter().zip(&expected) {
-            for (p, q) in a.iter().zip(b) {
-                prop_assert!((p - q).abs() <= CONVERGENCE_TOL, "diff {}", (p - q).abs());
-            }
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The batcher coalesces concurrent requests into single
 //! `try_tag_batch` calls, so the contract to verify is that a response
-//! from the server is **byte-identical** to offline `tag_batch` over
+//! from the server is **byte-identical** to one offline call over
 //! the same parsed sentences — at any `max_batch`, any linger window,
 //! and any worker pool size. The child half trains one smoke model,
 //! serves it at `max_batch` 1, 7, and the default 64, drives
@@ -55,7 +55,7 @@ fn post_tag(addr: SocketAddr, body: &str) -> (u16, String) {
 /// The child workload: train once, then for each batch size serve the
 /// model, fire concurrent single-line requests, and append every
 /// response (in request order) to the canonical dump after checking it
-/// against the offline `tag_batch` rendering.
+/// against the offline `try_tag_batch` rendering.
 fn serve_dump() -> String {
     let corpus = generate(&CorpusProfile::bc2gm().scaled(0.02));
     let (model, _) = GraphNer::train(&corpus.train, &quick_cfg(), None, GraphNerConfig::default());
@@ -80,7 +80,8 @@ fn serve_dump() -> String {
         .enumerate()
         .map(|(i, line)| Sentence::unlabelled(format!("q{i}"), tokenize(line)))
         .collect();
-    let offline_tags = session.tagger(model.config()).tag_batch(&offline);
+    let offline_tags =
+        session.tagger(model.config()).try_tag_batch(&offline).expect("clean offline batch");
     let expected: Vec<String> = offline
         .iter()
         .zip(&offline_tags)
@@ -89,7 +90,9 @@ fn serve_dump() -> String {
 
     let mut dump = String::new();
     for max_batch in [1usize, 7, GraphNerConfig::default().serve.max_batch] {
-        let cfg = GraphNerConfig::builder().max_batch(max_batch).build().expect("valid config");
+        let mut cfg = GraphNerConfig::default();
+        cfg.serve.max_batch = max_batch;
+        cfg.validate().expect("valid config");
         let tagger = session.tagger(&cfg);
         let handle = start(tagger, cfg.serve, "127.0.0.1:0").expect("start in-process server");
         let addr = handle.addr();
@@ -121,7 +124,7 @@ fn serve_dump() -> String {
         for (i, body) in &responses {
             assert_eq!(
                 body, &expected[*i],
-                "server response {i} diverged from offline tag_batch at max_batch={max_batch}"
+                "server response {i} diverged from offline try_tag_batch at max_batch={max_batch}"
             );
             dump.push_str(body);
         }
@@ -141,7 +144,7 @@ fn dump_serve_responses() {
 
 /// The pool reads `GRAPHNER_THREADS` once at first use, so two pool
 /// sizes need two processes. Each child already asserts
-/// server == offline `tag_batch` at batch sizes {1, 7, 64}; comparing
+/// server == offline `try_tag_batch` at batch sizes {1, 7, 64}; comparing
 /// the two dumps additionally pins the whole train + serve pipeline to
 /// be byte-identical across pool sizes.
 #[test]
