@@ -1,9 +1,8 @@
 //@ scan-as: crates/graph/src/fixture_cross.rs
-//! Self-test fixture for the pass-2 cross-file rule families
-//! `det-merge` and `span-known`, scoped as library code. Each family
-//! has violating sites (with a `//~` marker) and compliant twins
-//! (without), so the self-test proves both that the rules fire and
-//! that they stay quiet.
+//! Self-test fixture for the pass-2 cross-file rule `det-merge`,
+//! scoped as library code. It has violating sites (with a `//~`
+//! marker) and compliant twins (without), so the self-test proves both
+//! that the rule fires and that it stays quiet.
 
 // ----- determinism of parallel merges ------------------------------------
 
@@ -20,17 +19,3 @@ fn sequential_merge_is_fine(xs: &[f64]) -> f64 {
     xs.iter().map(|x| x.abs()).fold(0.0, f64::max)
 }
 
-// ----- span-name closure -------------------------------------------------
-
-mod stage {
-    pub const KNOWN: &str = "graph.knn";
-    pub const UNREGISTERED: &str = "fixture.const_span";
-}
-
-fn opens_spans(name: &'static str) {
-    let _known = span("graph.knn");
-    let _new = span("fixture.unknown_span"); //~ span-known
-    let _known_const = span(stage::KNOWN);
-    let _new_const = span(stage::UNREGISTERED); //~ span-known
-    let _dynamic = span(name); // a parameter: out of static reach
-}

@@ -50,7 +50,7 @@ pub struct HotFnRecord {
 /// One span whose dynamic extent enters the hot set.
 #[derive(Clone, Debug)]
 pub struct HotSpanRecord {
-    /// The span name literal.
+    /// The `SpanName` variant identifier.
     pub name: String,
     /// Workspace-relative path of the minting site.
     pub path: String,
@@ -75,7 +75,7 @@ impl HotInventory {
     /// Render the report text. Line grammar (consumed by perfsuite —
     /// keep stable): `root <path>:<line> <name> alloc_sites=<n> — <reason>`,
     /// `fn <path>:<line> <name> alloc_sites=<n> via <a -> b -> c>`,
-    /// `span <name> <path>:<line> static_alloc_sites=<n>`.
+    /// `span <SpanName variant> <path>:<line> static_alloc_sites=<n>`.
     pub fn render(&self) -> String {
         let roots = self.fns.iter().filter(|f| f.root_reason.is_some()).count();
         let total_allocs: usize = self.fns.iter().map(|f| f.alloc_sites).sum();
@@ -168,9 +168,7 @@ pub fn inventory(files: &[FileIndex]) -> HotInventory {
     }
     let mut spans = Vec::new();
     for (fi, file) in files.iter().enumerate() {
-        // literal names only: the `const`-minted pipeline stage spans
-        // each wrap a whole stage, far above the zero-site threshold
-        for span in file.span_uses.iter().filter(|s| !s.is_test && !s.via_const) {
+        for span in file.span_uses.iter().filter(|s| !s.is_test) {
             let Some(gi) = span.fn_index else { continue };
             let id: FnId = (fi, gi);
             let closure = graph.reachable_from(id);
@@ -194,11 +192,11 @@ pub fn inventory(files: &[FileIndex]) -> HotInventory {
 mod tests {
     use super::*;
     use crate::symbols::index_file;
-    use crate::xrules::{check as xcheck, Mode};
+    use crate::xrules::check as xcheck;
 
     fn findings_of(src: &str) -> Vec<(&'static str, usize)> {
         let files = vec![index_file("crates/graph/src/x.rs", src)];
-        xcheck(&files, None, Mode::Workspace).into_iter().map(|f| (f.rule.id(), f.line)).collect()
+        xcheck(&files).into_iter().map(|f| (f.rule.id(), f.line)).collect()
     }
 
     #[test]
@@ -273,7 +271,7 @@ mod tests {\n\
             "crates/graph/src/x.rs",
             "\
 pub fn stage(xs: &[u32]) -> usize {\n\
-    let _s = span(\"graph.stage\");\n\
+    let _s = span(SpanName::GraphKnn);\n\
     kernel_fn(xs)\n\
 }\n\
 // hot: per-vertex kernel\n\
@@ -290,7 +288,7 @@ pub fn unrelated() {}\n",
         assert_eq!(inv.fns[0].alloc_sites, 1);
         assert!(inv.fns[0].root_reason.is_some());
         assert_eq!(inv.spans.len(), 1);
-        assert_eq!(inv.spans[0].name, "graph.stage");
+        assert_eq!(inv.spans[0].name, "GraphKnn");
         assert_eq!(inv.spans[0].static_alloc_sites, 1);
         let text = inv.render();
         assert!(
@@ -304,7 +302,7 @@ pub fn unrelated() {}\n",
             "{text}"
         );
         assert!(
-            text.contains("span graph.stage crates/graph/src/x.rs:2 static_alloc_sites=1"),
+            text.contains("span GraphKnn crates/graph/src/x.rs:2 static_alloc_sites=1"),
             "{text}"
         );
     }

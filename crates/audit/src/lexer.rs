@@ -29,7 +29,7 @@ pub enum TokenKind {
     /// Any string literal (`"…"`, `r#"…"#`, `b"…"`), carrying its raw
     /// inner text (escape sequences left verbatim). Rules never match
     /// *inside* the payload accidentally — it only surfaces through
-    /// [`Token::str_lit`] for rules that ask, like the span-name check.
+    /// [`Token::str_lit`].
     Str(String),
     /// A character literal (`'x'`, `'\n'`).
     Char,

@@ -3,13 +3,14 @@
 //! A zero-dependency static-analysis pass with its own lightweight Rust
 //! lexer ([`lexer`]) that walks every workspace `src/` file and
 //! enforces the project policy clippy cannot express ([`rules`]):
-//! float-literal equality, the span-name vocabulary, order-safety notes
-//! on parallel merges, and the hot-path allocation and index-arithmetic
-//! contracts. The policy clippy *can* express — panics, hash maps,
-//! clocks, printing, unsafe provenance, thread counts, hot-module
-//! casts — is configured in `[workspace.lints]` and `clippy.toml`, and
-//! justified exceptions are `#[expect(lint, reason = "…")]` attributes
-//! at the site (DESIGN.md §9).
+//! float-literal equality, order-safety notes on parallel merges, and
+//! the hot-path allocation and index-arithmetic contracts. The policy
+//! clippy *can* express — panics, hash maps, clocks, printing, unsafe
+//! provenance, thread counts, hot-module casts — is configured in
+//! `[workspace.lints]` and `clippy.toml`, and justified exceptions are
+//! `#[expect(lint, reason = "…")]` attributes at the site (DESIGN.md
+//! §9). The span-name vocabulary is the compiler's: `graphner_obs::span`
+//! takes the closed `SpanName` enum.
 //!
 //! Run it as `cargo run --release --bin audit -- --workspace` (a
 //! required CI step), or `--self-test` to validate the lexer and rule
@@ -25,11 +26,6 @@ pub mod xrules;
 use rules::{Finding, Rule, ALL_RULES};
 use std::path::{Path, PathBuf};
 use symbols::FileIndex;
-use xrules::{Mode, SpanRegistry};
-
-/// Workspace-relative path of the known span-name registry consumed by
-/// the `span-known` rule.
-pub const SPAN_NAMES_FILE: &str = "crates/audit/span-names.txt";
 
 /// Fixture header directive: pretend the file lives at this workspace
 /// path when deriving rule scopes (`//@ scan-as: crates/core/src/x.rs`).
@@ -205,16 +201,6 @@ pub fn analyze_file(
     Ok((findings, index, source))
 }
 
-/// Load the span-name registry under `root`, if present. Scratch trees
-/// without one skip the `span-known` rule entirely.
-pub fn load_span_registry(root: &Path) -> Result<Option<SpanRegistry>, AuditError> {
-    let path = root.join(SPAN_NAMES_FILE);
-    if !path.is_file() {
-        return Ok(None);
-    }
-    Ok(Some(SpanRegistry::parse(SPAN_NAMES_FILE, &read_source(&path)?)))
-}
-
 /// Run the two-pass audit over `files` (workspace-relative reporting
 /// against `root`): pass 1 lints each file and builds its symbol index;
 /// pass 2 links the indexes and runs the cross-file rules.
@@ -226,8 +212,7 @@ pub fn run(root: &Path, files: &[PathBuf]) -> Result<Report, AuditError> {
         indexes.push(index);
         findings.extend(file_findings);
     }
-    let registry = load_span_registry(root)?;
-    findings.extend(xrules::check(&indexes, registry.as_ref(), Mode::Workspace));
+    findings.extend(xrules::check(&indexes));
     Ok(Report { findings, files_scanned: files.len(), hot: hot::inventory(&indexes) })
 }
 
@@ -248,15 +233,11 @@ pub struct SelfTestFailure {
 /// that expects nothing proves nothing.
 ///
 /// Both passes run: per-file rules plus the cross-file rules over each
-/// fixture's own (single-file) symbol graph, with the real span-name
-/// registry loaded so `span-known` fixtures can exercise membership.
-/// The registry's workspace stale check is skipped — one fixture can
-/// never cover every registered span.
+/// fixture's own (single-file) symbol graph.
 pub fn self_test(
     root: &Path,
     fixtures: &[PathBuf],
 ) -> Result<(usize, usize, Vec<SelfTestFailure>), AuditError> {
-    let registry = load_span_registry(root)?;
     let mut failures = Vec::new();
     let mut total_expected = 0usize;
     for file in fixtures {
@@ -264,11 +245,7 @@ pub fn self_test(
         if !source.trim_start().starts_with(SCAN_AS) {
             return Err(AuditError::MissingScanAs { path: file.clone() });
         }
-        found.extend(xrules::check(
-            std::slice::from_ref(&index),
-            registry.as_ref(),
-            Mode::SelfTest,
-        ));
+        found.extend(xrules::check(std::slice::from_ref(&index)));
         let mut expected: Vec<(Rule, usize)> = Vec::new();
         for (idx, line) in source.lines().enumerate() {
             let mut rest = line;
@@ -402,12 +379,12 @@ mod tests {
         let bad = write(
             &root,
             "crates/audit/fixtures/bad.rs",
-            "//@ scan-as: crates/core/src/f.rs\nfn f() { x == 1.0; }\nfn g() {} //~ span-name\n",
+            "//@ scan-as: crates/core/src/f.rs\nfn f() { x == 1.0; }\nfn g() {} //~ det-merge\n",
         );
         let (_, _, failures) = self_test(&root, &[bad]).unwrap();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].unexpected.len(), 1); // the unmarked float eq
-        assert_eq!(failures[0].missing, vec![(Rule::SpanName, 3)]);
+        assert_eq!(failures[0].missing, vec![(Rule::DetMerge, 3)]);
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! |---------------|-----------------------------------------------------------------|
 //! | `no-float-eq` | no bare `==` / `!=` against float literals in library code —    |
 //! |               | unlike `clippy::float_cmp`, either operand side and zero count  |
-//! | `span-name`   | literal names at `span("…")` / `SpanRecord::synthetic("…")`     |
-//! |               | follow the `area.verb` convention: two or more non-empty        |
-//! |               | dot-separated segments of `[a-z0-9_]`                           |
 //!
 //! The cross-file rules run in pass 2 over the linked symbol graph
 //! (see [`crate::symgraph`] and [`crate::xrules`]):
@@ -19,9 +16,6 @@
 //! |-----------------|---------------------------------------------------------------|
 //! | `det-merge`     | parallel `reduce`/`sum` merges carry a `// det: <why          |
 //! |                 | order-safe>` annotation in the same statement                 |
-//! | `span-known`    | every well-shaped span name, literal or `const`, appears in   |
-//! |                 | `crates/audit/span-names.txt` (and every non-fixture entry    |
-//! |                 | there is still used somewhere)                                |
 //!
 //! The hot-path families also run in pass 2, but only inside the
 //! hot-reachable function set seeded by `// hot:` annotations (see
@@ -39,9 +33,8 @@
 //! Scope conventions (see [`FileScope`]): binary targets (`src/bin/`),
 //! integration tests, benches, and `#[cfg(test)]` regions are exempt
 //! from `no-float-eq` — exact float assertions in tests are idiomatic.
-//! `span-name` also covers the bench crate's binaries: perfsuite's
-//! stage spans become `BENCH_pipeline.json` keys, the most
-//! rename-sensitive names of all.
+//! Span names need no rule: `graphner_obs::span` takes the closed
+//! `SpanName` enum, so the compiler owns that vocabulary.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -50,28 +43,18 @@ use crate::lexer::{Token, TokenKind};
 pub enum Rule {
     /// Bare `==`/`!=` against a float literal in library code.
     NoFloatEq,
-    /// Span name literal not matching the `area.verb` convention.
-    SpanName,
     /// Parallel `reduce`/`sum` merge without a `// det:` annotation.
     DetMerge,
-    /// Span name missing from (or stale in) the known set.
-    SpanKnown,
     /// Uncontracted allocation call site in a hot-reachable function.
     HotAlloc,
     /// Unchecked index arithmetic in a hot-reachable function.
     HotOverflow,
 }
 
-/// All rules, in reporting order. The first two run per file (pass 1),
+/// All rules, in reporting order. The first runs per file (pass 1),
 /// the rest over the linked symbol graph (pass 2).
-pub const ALL_RULES: [Rule; 6] = [
-    Rule::NoFloatEq,
-    Rule::SpanName,
-    Rule::DetMerge,
-    Rule::SpanKnown,
-    Rule::HotAlloc,
-    Rule::HotOverflow,
-];
+pub const ALL_RULES: [Rule; 4] =
+    [Rule::NoFloatEq, Rule::DetMerge, Rule::HotAlloc, Rule::HotOverflow];
 
 impl Rule {
     /// The rule's stable string id (used in findings, fixture markers
@@ -79,9 +62,7 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoFloatEq => "no-float-eq",
-            Rule::SpanName => "span-name",
             Rule::DetMerge => "det-merge",
-            Rule::SpanKnown => "span-known",
             Rule::HotAlloc => "hot-alloc",
             Rule::HotOverflow => "hot-overflow",
         }
@@ -140,13 +121,6 @@ impl FileScope {
             || parts.contains(&"examples")
             || parts.contains(&"fixtures");
         FileScope { crate_name, is_binary }
-    }
-
-    /// Whether span-name rules cover this file: library code anywhere,
-    /// plus the bench crate's binaries (perfsuite's stage spans become
-    /// `BENCH_pipeline.json` keys).
-    pub(crate) fn span_checked(&self) -> bool {
-        !self.is_binary || self.crate_name == "bench"
     }
 }
 
@@ -240,24 +214,6 @@ fn skip_attribute(tokens: &[Token], i: usize) -> usize {
     j
 }
 
-/// Whether a span name follows the `area.verb` convention: at least
-/// two non-empty dot-separated segments of `[a-z0-9_]`. Stable names
-/// in this shape group cleanly in trace viewers and survive renames of
-/// surrounding code; anything ad-hoc (`"outer"`, `"Phase 1"`) breaks
-/// the `BENCH_pipeline.json` stage keys derived from them.
-pub(crate) fn valid_span_name(name: &str) -> bool {
-    let mut segments = 0usize;
-    for seg in name.split('.') {
-        if seg.is_empty()
-            || !seg.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-        {
-            return false;
-        }
-        segments += 1;
-    }
-    segments >= 2
-}
-
 /// Index of the `}` matching the `{` at `open` (or the last token).
 pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
@@ -278,60 +234,31 @@ pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> usize {
 
 /// Run every applicable per-file rule over one file's source.
 pub fn check_file(path: &str, source: &str) -> Vec<Finding> {
-    let scope = FileScope::from_path(path);
+    // Binaries and test code are exempt: exact float assertions are
+    // idiomatic there.
+    if FileScope::from_path(path).is_binary {
+        return Vec::new();
+    }
     let tokens = crate::lexer::tokenize(source);
     let regions = test_regions(&tokens);
     let in_test = |i: usize| regions.iter().any(|&(lo, hi)| i >= lo && i <= hi);
     let mut findings = Vec::new();
 
-    let finding = |rule: Rule, line: usize, what: String| Finding {
-        rule,
-        path: path.to_string(),
-        line,
-        what,
-    };
-
-    // Test code is exempt from both rules: exact float assertions and
-    // throwaway span names like "outer" are idiomatic there.
-    let float_applies = !scope.is_binary;
-    let span_applies = scope.span_checked();
-
     for (i, tok) in tokens.iter().enumerate() {
-        if in_test(i) {
+        if in_test(i) || !(tok.is_op("==") || tok.is_op("!=")) {
             continue;
         }
-
         // no-float-eq: `==` / `!=` adjacent to a float literal
-        if float_applies && (tok.is_op("==") || tok.is_op("!=")) {
-            let float_next = matches!(tokens.get(i + 1).map(|t| &t.kind), Some(TokenKind::Float));
-            let float_prev = i > 0 && tokens[i - 1].kind == TokenKind::Float;
-            if float_next || float_prev {
-                let op = if tok.is_op("==") { "==" } else { "!=" };
-                findings.push(finding(
-                    Rule::NoFloatEq,
-                    tok.line,
-                    format!("bare float `{op}` comparison"),
-                ));
-            }
-        }
-
-        // span-name: literal first argument of `span(` / `synthetic(`
-        if span_applies {
-            if let Some(name) = tok.ident() {
-                if matches!(name, "span" | "synthetic")
-                    && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                {
-                    if let Some(lit) = tokens.get(i + 2).and_then(|t| t.str_lit()) {
-                        if !valid_span_name(lit) {
-                            findings.push(finding(
-                                Rule::SpanName,
-                                tok.line,
-                                format!("span name \"{lit}\" is not `area.verb` shaped"),
-                            ));
-                        }
-                    }
-                }
-            }
+        let float_next = matches!(tokens.get(i + 1).map(|t| &t.kind), Some(TokenKind::Float));
+        let float_prev = i > 0 && tokens[i - 1].kind == TokenKind::Float;
+        if float_next || float_prev {
+            let op = if tok.is_op("==") { "==" } else { "!=" };
+            findings.push(Finding {
+                rule: Rule::NoFloatEq,
+                path: path.to_string(),
+                line: tok.line,
+                what: format!("bare float `{op}` comparison"),
+            });
         }
     }
     findings
@@ -369,36 +296,6 @@ mod tests {
     fn float_eq_after_cfg_test_region_is_found() {
         let src = "#[cfg(test)]\nmod tests { fn t() { a == 1.0; } }\nfn g() { b == 2.0; }";
         assert_eq!(rules_at("crates/text/src/a.rs", src), vec![(Rule::NoFloatEq, 3)]);
-    }
-
-    #[test]
-    fn span_names_must_be_dot_separated_lowercase() {
-        let src = "fn f() {\n let _a = span(\"outer\");\n let _b = span(\"Graph.Build\");\n let _c = span(\"graph.\");\n let _d = SpanRecord::synthetic(\"Phase 1\", 3);\n}";
-        let found = rules_at("crates/core/src/a.rs", src);
-        assert_eq!(
-            found,
-            vec![
-                (Rule::SpanName, 2),
-                (Rule::SpanName, 3),
-                (Rule::SpanName, 4),
-                (Rule::SpanName, 5)
-            ]
-        );
-    }
-
-    #[test]
-    fn conforming_and_dynamic_span_names_pass() {
-        let src = "fn f(n: &str) {\n let _a = span(\"graph.knn\");\n let _b = span(\"serve.tag_batch\");\n let _c = span(\"a.b2.c_d\");\n let _d = span(n);\n let _e = other_span(\"X\");\n}";
-        assert!(rules_at("crates/core/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn span_name_scope_covers_bench_bins_but_not_tests() {
-        let src = "fn f() { let _s = span(\"bad\"); }";
-        assert_eq!(rules_at("crates/bench/src/bin/perfsuite.rs", src), vec![(Rule::SpanName, 1)]);
-        assert!(rules_at("crates/obs/tests/rayon_spans.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests { fn t() { span(\"outer\"); } }";
-        assert!(rules_at("crates/obs/src/span.rs", test_src).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! deliberately shallow item model: function items with body extents,
 //! call-expression edges by callee name, allocation and index-arithmetic
 //! sites with their contracts, parallel `reduce`/`sum` sites with their
-//! `// det:` annotations, `const` string items, and span names.
+//! `// det:` annotations, and span names.
 //! [`crate::symgraph`] links the per-file indexes into the workspace
 //! symbol graph.
 //!
@@ -137,16 +137,12 @@ pub struct DetSite {
     pub is_test: bool,
 }
 
-/// One span name minted by the file.
+/// One span minted by the file.
 #[derive(Clone, Debug)]
 pub struct SpanUse {
-    /// The literal name (already `area.verb`-shaped — malformed names
-    /// are the `span-name` rule's problem, not this index's), or the
-    /// identifier of the `const` the span is minted from.
+    /// The `SpanName` variant identifier (`GraphKnn` for
+    /// `span(SpanName::GraphKnn)`).
     pub name: String,
-    /// Whether `name` is a `const` identifier (`span(stage::DECODE)`),
-    /// resolved through [`FileIndex::str_consts`] in pass 2.
-    pub via_const: bool,
     /// 1-based line.
     pub line: usize,
     /// Whether the site sits inside a `#[cfg(test)]` region.
@@ -170,8 +166,6 @@ pub struct FileIndex {
     pub det_sites: Vec<DetSite>,
     /// Span names, in source order.
     pub span_uses: Vec<SpanUse>,
-    /// `const NAME: &str = "…";` items, as (identifier, literal).
-    pub str_consts: Vec<(String, String)>,
 }
 
 /// Parse one file into its [`FileIndex`]. `path` decides rule scopes
@@ -188,7 +182,6 @@ pub fn index_file(path: &str, source: &str) -> FileIndex {
     attribute_bodies(tokens, comments, &bodies, &mut fns);
     let det_sites = collect_det(tokens, comments, &in_test);
     let span_uses = collect_spans(tokens, &bodies, &in_test);
-    let str_consts = collect_str_consts(tokens);
 
     FileIndex {
         path: path.to_string(),
@@ -196,7 +189,6 @@ pub fn index_file(path: &str, source: &str) -> FileIndex {
         fns,
         det_sites,
         span_uses,
-        str_consts,
     }
 }
 
@@ -554,10 +546,10 @@ fn scan_statement_back(tokens: &[Token], from: usize) -> (usize, bool) {
     (first_line, parallel)
 }
 
-/// Fourth sweep: span names (well-shaped literals only — malformed names
-/// belong to the `span-name` rule — plus `const` references such as
-/// `span(stage::DECODE)`), each attributed to the innermost enclosing
-/// function for the hot report's span section.
+/// Fourth sweep: `span(SpanName::X)` and `synthetic(SpanName::X, …)`
+/// sites, each attributed to the innermost enclosing function for the
+/// hot report's span section. Any other argument (a `SpanName`
+/// parameter) is out of static reach.
 fn collect_spans(
     tokens: &[Token],
     bodies: &[std::ops::Range<usize>],
@@ -565,73 +557,23 @@ fn collect_spans(
 ) -> Vec<SpanUse> {
     let mut out = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
-        let Some(name) = tok.ident() else { continue };
-        if name != "span" && name != "synthetic" {
+        if !(tok.is_ident("span") || tok.is_ident("synthetic")) {
             continue;
         }
-        if !tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let (name, via_const) = match tokens.get(i + 2).and_then(Token::str_lit) {
-            Some(lit) if crate::rules::valid_span_name(lit) => (lit, false),
-            Some(_) => continue,
-            None => match const_argument(tokens, i + 2) {
-                Some(ident) => (ident, true),
-                None => continue,
-            },
-        };
+        let at = |k: usize| tokens.get(i + k);
+        let variant = at(4).and_then(Token::ident).filter(|_| {
+            at(1).is_some_and(|t| t.is_punct('('))
+                && at(2).is_some_and(|t| t.is_ident("SpanName"))
+                && at(3).is_some_and(|t| t.is_op("::"))
+                && at(5).is_some_and(|t| t.is_punct(')') || t.is_punct(','))
+        });
+        let Some(variant) = variant else { continue };
         out.push(SpanUse {
-            name: name.to_string(),
-            via_const,
+            name: variant.to_string(),
             line: tok.line,
             is_test: in_test(i),
             fn_index: innermost(bodies, i),
         });
-    }
-    out
-}
-
-/// The final segment of a `SCREAMING_CASE` path argument starting at
-/// token `at` (`stage::DECODE` → `DECODE`), if the argument is exactly
-/// that path. Lower-case names are locals or parameters, which no
-/// static pass can resolve.
-fn const_argument(tokens: &[Token], at: usize) -> Option<&str> {
-    let mut j = at;
-    let mut last = None;
-    while let Some(t) = tokens.get(j) {
-        match &t.kind {
-            TokenKind::Ident(name) => last = Some(name.as_str()),
-            TokenKind::Op("::") => {}
-            TokenKind::Punct(')') | TokenKind::Punct(',') => break,
-            _ => return None,
-        }
-        j += 1;
-    }
-    last.filter(|n| n.chars().all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
-}
-
-/// Fifth sweep: `const NAME: <type> = "literal";` items.
-fn collect_str_consts(tokens: &[Token]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        if !tok.is_ident("const") {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1).and_then(Token::ident) else { continue };
-        if !tokens.get(i + 2).is_some_and(|t| t.is_punct(':')) {
-            continue;
-        }
-        let Some(eq) = tokens[i..].iter().position(|t| t.is_punct('=') || t.is_punct(';')) else {
-            continue;
-        };
-        let eq = i + eq;
-        let ends = tokens.get(eq + 2).is_some_and(|t| t.is_punct(';'));
-        match tokens.get(eq + 1).and_then(Token::str_lit) {
-            Some(lit) if tokens[eq].is_punct('=') && ends => {
-                out.push((name.to_string(), lit.to_string()));
-            }
-            _ => {}
-        }
     }
     out
 }
@@ -713,29 +655,27 @@ fn grad(data: &[u32]) -> u32 {\n\
     }
 
     #[test]
-    fn span_collection_literals_and_consts() {
+    fn span_collection_takes_span_name_variants_only() {
         let src = "\
-mod stage { pub const DECODE: &str = \"test.decode\"; }\n\
-const NOT_A_STR: usize = 3;\n\
-fn f(tag: &'static str) {\n\
-    let _s = span(\"graph.knn\");\n\
-    let _bad = span(\"NotValid\");\n\
-    let _c = span(stage::DECODE);\n\
-    let _d = span(tag);\n\
+fn f(name: SpanName) {\n\
+    let _s = span(SpanName::GraphKnn);\n\
+    let _r = SpanRecord::synthetic(SpanName::TestDecode, 1.0);\n\
+    let _d = span(name);\n\
+    let _a = span(SpanName::ALL[0]);\n\
 }\n\
 #[cfg(test)]\n\
 mod tests {\n\
-    fn t() { span(\"x.y\"); }\n\
+    fn t() { span(SpanName::CrfTrain); }\n\
 }\n";
         let ix = idx(src);
-        // malformed and dynamic names are excluded; test-region spans
-        // flagged as such
-        let names: Vec<(&str, bool, bool)> =
-            ix.span_uses.iter().map(|s| (s.name.as_str(), s.via_const, s.is_test)).collect();
+        // parameters and non-variant expressions are excluded;
+        // test-region spans are flagged as such
+        let names: Vec<(&str, usize, bool)> =
+            ix.span_uses.iter().map(|s| (s.name.as_str(), s.line, s.is_test)).collect();
         assert_eq!(
             names,
-            vec![("graph.knn", false, false), ("DECODE", true, false), ("x.y", false, true)]
+            vec![("GraphKnn", 2, false), ("TestDecode", 3, false), ("CrfTrain", 9, true)]
         );
-        assert_eq!(ix.str_consts, vec![("DECODE".to_string(), "test.decode".to_string())]);
+        assert!(ix.span_uses[..2].iter().all(|s| s.fn_index == Some(0)));
     }
 }

@@ -45,7 +45,7 @@ use graphner_core::pipeline::{AverageStage, DecodeStage, GraphStage, PosteriorSt
 use graphner_core::{GraphNer, GraphNerConfig, TestSession};
 use graphner_corpusgen::{generate, CorpusProfile};
 use graphner_graph::{propagate_partitioned, Partition, ShardSize};
-use graphner_obs::{span, Stopwatch};
+use graphner_obs::{span, SpanName, Stopwatch};
 use graphner_text::{Corpus, TrigramInterner};
 
 /// Vertex count of the synthetic graph behind the
@@ -222,7 +222,7 @@ fn run_propagate_worker(iters: usize) {
     };
     let mut x = w.x0.clone();
     let m = measure(iters, || {
-        let _s = span("perf.propagate_sharded");
+        let _s = span(SpanName::PerfPropagateSharded);
         x.copy_from_slice(&w.x0);
         std::hint::black_box(propagate_partitioned(
             &w.graph, &partition, &mut x, &w.x_ref, &params, false,
@@ -300,7 +300,7 @@ fn main() {
     let mut interner = TrigramInterner::new();
     let mut vectors = Vec::new();
     let m = measure(args.iters, || {
-        let _s = span("perf.pmi_build");
+        let _s = span(SpanName::PerfPmiBuild);
         let mut it = TrigramInterner::new();
         vectors = GraphStage::vectors(&gner, &mut it, &test, cfg.feature_set);
         interner = it;
@@ -309,7 +309,7 @@ fn main() {
 
     let mut graph = GraphStage::connect(&vectors, cfg.k);
     let m = measure(args.iters, || {
-        let _s = span("perf.knn_build");
+        let _s = span(SpanName::PerfKnnBuild);
         graph = GraphStage::connect(&vectors, cfg.k);
     });
     stages.push(stage_result("perf.knn_build", &m));
@@ -325,7 +325,7 @@ fn main() {
     let partition = Partition::new(&graph, cfg.schedule.shard_size);
     let mut x = x0.clone();
     let m = measure(args.iters, || {
-        let _s = span("perf.propagate");
+        let _s = span(SpanName::PerfPropagate);
         x = x0.clone();
         propagate_partitioned(
             &graph,
@@ -340,7 +340,7 @@ fn main() {
 
     let transitions = gner.transitions();
     let m = measure(args.iters, || {
-        let _s = span("perf.viterbi_decode");
+        let _s = span(SpanName::PerfViterbiDecode);
         std::hint::black_box(DecodeStage::run(
             &test,
             posteriors.test(),
@@ -420,23 +420,26 @@ fn main() {
             eprintln!("perfsuite: hot report {path} unreadable: {e}");
             std::process::exit(2);
         });
-        let hidden =
-            perf::reconcile_hot_spans(&statics, &spans, perf::HIDDEN_ALLOC_THRESHOLD_BYTES);
-        if hidden.is_empty() {
+        let rec = perf::reconcile_hot_spans(&statics, &spans, perf::HIDDEN_ALLOC_THRESHOLD_BYTES);
+        if rec.hidden.is_empty() {
             eprintln!(
-                "perfsuite: hot-span reconciliation OK ({} static span(s) against {} measured, \
-                 threshold {} bytes)",
+                "perfsuite: hot-span reconciliation OK ({} of {} static span(s) checked: zero \
+                 static alloc sites and measured mem.net_bytes in {} span record(s), threshold \
+                 {} bytes)",
+                rec.checked,
                 statics.len(),
                 spans.len(),
                 perf::HIDDEN_ALLOC_THRESHOLD_BYTES
             );
         } else {
-            eprintln!("perfsuite: {} hidden allocation(s):", hidden.len());
-            for h in &hidden {
+            eprintln!("perfsuite: {} hidden allocation(s):", rec.hidden.len());
+            for h in &rec.hidden {
                 eprintln!(
                     "  span {} ({}): 0 static alloc sites but {} net bytes measured — \
                      hidden allocation (vendored/closure) — annotate or hoist",
-                    h.span, h.site, h.net_bytes
+                    h.span.as_str(),
+                    h.site,
+                    h.net_bytes
                 );
             }
             std::process::exit(1);

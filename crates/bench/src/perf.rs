@@ -13,6 +13,7 @@
 //! writer emits a strict subset of JSON so any external tool can read
 //! the trajectory too.
 
+use graphner_obs::SpanName;
 use std::fmt::Write as _;
 
 /// Version stamp of the report layout. Bump on any field change;
@@ -190,8 +191,8 @@ pub const HIDDEN_ALLOC_THRESHOLD_BYTES: i64 = 4096;
 /// allocation-site count for a span whose extent enters the hot set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HotSpanStatic {
-    /// Span name literal (matches [`graphner_obs::SpanRecord::name`]).
-    pub name: String,
+    /// The span's name.
+    pub name: SpanName,
     /// Workspace-relative path of the minting site.
     pub path: String,
     /// 1-based line of the minting site.
@@ -203,9 +204,11 @@ pub struct HotSpanStatic {
 
 /// Parse the `span` section of an audit `--hot-report` file. The line
 /// grammar is owned by `graphner-audit::hot` (kept stable for this
-/// consumer): `span <name> <path>:<line> static_alloc_sites=<k>`.
-/// Comment (`#`), `root` and `fn` lines are skipped; a malformed `span`
-/// line is an error, since silently dropping one would un-gate its span.
+/// consumer): `span <variant> <path>:<line> static_alloc_sites=<k>`,
+/// where `<variant>` is a [`SpanName`] variant identifier as written at
+/// the minting site. Comment (`#`), `root` and `fn` lines are skipped.
+/// A malformed `span` line, or one naming no [`SpanName`] variant, is an
+/// error: silently dropping it would un-gate its span.
 pub fn parse_hot_report(text: &str) -> Result<Vec<HotSpanStatic>, String> {
     let mut spans = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -216,14 +219,19 @@ pub fn parse_hot_report(text: &str) -> Result<Vec<HotSpanStatic>, String> {
         };
         let fields: Vec<&str> = rest.split_whitespace().collect();
         let err = || format!("hot-report:{line_no}: malformed span line `{line}`");
-        let [name, site, count] = fields.as_slice() else {
+        let [variant, site, count] = fields.as_slice() else {
             return Err(err());
         };
+        // a fieldless variant's derived Debug output is its identifier
+        let name =
+            SpanName::ALL.into_iter().find(|n| format!("{n:?}") == *variant).ok_or_else(|| {
+                format!("hot-report:{line_no}: `{variant}` is not a SpanName variant")
+            })?;
         let (path, site_line) = site.rsplit_once(':').ok_or_else(err)?;
         let static_alloc_sites =
             count.strip_prefix("static_alloc_sites=").and_then(|v| v.parse().ok());
         spans.push(HotSpanStatic {
-            name: name.to_string(),
+            name,
             path: path.to_string(),
             line: site_line.parse().map_err(|_| err())?,
             static_alloc_sites: static_alloc_sites.ok_or_else(err)?,
@@ -236,11 +244,22 @@ pub fn parse_hot_report(text: &str) -> Result<Vec<HotSpanStatic>, String> {
 #[derive(Clone, Debug)]
 pub struct HiddenAllocation {
     /// Span name.
-    pub span: String,
+    pub span: SpanName,
     /// Minting site from the hot report, for the error message.
     pub site: String,
     /// Worst `mem.net_bytes` observed across the span's executions.
     pub net_bytes: i64,
+}
+
+/// Outcome of [`reconcile_hot_spans`].
+#[derive(Clone, Debug, Default)]
+pub struct Reconciliation {
+    /// Static spans the check actually applied to: zero static
+    /// allocation sites, and at least one measured record carrying
+    /// `mem.net_bytes`.
+    pub checked: usize,
+    /// The checked spans that allocated above threshold anyway.
+    pub hidden: Vec<HiddenAllocation>,
 }
 
 /// Cross-reference the audit's static per-span allocation counts
@@ -248,37 +267,39 @@ pub struct HiddenAllocation {
 /// allocation sites whose worst observed `mem.net_bytes` still exceeds
 /// `threshold_bytes` is a hidden allocation — something the lexical
 /// rules cannot see (vendored code, a closure the resolver dropped) is
-/// allocating on the hot path. Spans without the attribute (built
-/// without `obs-alloc`) and spans that never ran are skipped.
+/// allocating on the hot path. Spans with static sites, spans without
+/// the attribute (built without `obs-alloc`) and spans that never ran
+/// are not checked, and [`Reconciliation::checked`] does not count them.
 pub fn reconcile_hot_spans(
     statics: &[HotSpanStatic],
     measured: &[graphner_obs::SpanRecord],
     threshold_bytes: i64,
-) -> Vec<HiddenAllocation> {
-    let mut hidden = Vec::new();
+) -> Reconciliation {
+    let mut out = Reconciliation::default();
     for s in statics {
         if s.static_alloc_sites > 0 {
             continue;
         }
         let worst = measured
             .iter()
-            .filter(|r| r.name == s.name)
+            .filter(|r| r.name == s.name.as_str())
             .filter_map(|r| match r.attr("mem.net_bytes") {
                 Some(&graphner_obs::AttrValue::I64(v)) => Some(v),
                 _ => None,
             })
             .max();
         if let Some(net_bytes) = worst {
+            out.checked += 1;
             if net_bytes > threshold_bytes {
-                hidden.push(HiddenAllocation {
-                    span: s.name.clone(),
+                out.hidden.push(HiddenAllocation {
+                    span: s.name,
                     site: format!("{}:{}", s.path, s.line),
                     net_bytes,
                 });
             }
         }
     }
-    hidden
+    out
 }
 
 /// Peak resident set (`VmHWM`) of this process in bytes, from
@@ -621,21 +642,21 @@ mod tests {
 # hot-path inventory: 1 roots, 2 functions, 3 alloc sites, 2 spans
 root crates/graph/src/propagate.rs:100 jacobi_update alloc_sites=0 — per-vertex kernel
 fn crates/graph/src/knn.rs:50 top_k alloc_sites=3 via jacobi_update -> top_k
-span perf.propagate crates/bench/src/bin/perfsuite.rs:306 static_alloc_sites=0
-span serve.tag_batch crates/core/src/pipeline.rs:530 static_alloc_sites=7
+span PerfPropagate crates/bench/src/bin/perfsuite.rs:306 static_alloc_sites=0
+span ServeTagBatch crates/core/src/pipeline.rs:530 static_alloc_sites=7
 ";
         let spans = parse_hot_report(text).unwrap();
         assert_eq!(
             spans,
             vec![
                 HotSpanStatic {
-                    name: "perf.propagate".to_string(),
+                    name: SpanName::PerfPropagate,
                     path: "crates/bench/src/bin/perfsuite.rs".to_string(),
                     line: 306,
                     static_alloc_sites: 0,
                 },
                 HotSpanStatic {
-                    name: "serve.tag_batch".to_string(),
+                    name: SpanName::ServeTagBatch,
                     path: "crates/core/src/pipeline.rs".to_string(),
                     line: 530,
                     static_alloc_sites: 7,
@@ -648,17 +669,33 @@ span serve.tag_batch crates/core/src/pipeline.rs:530 static_alloc_sites=7
     fn hot_report_rejects_malformed_span_lines() {
         for bad in [
             "span only_two_fields a.rs:1",
-            "span name a.rs:notaline static_alloc_sites=0",
-            "span name noline static_alloc_sites=0",
-            "span name a.rs:1 static_alloc_sites=x",
-            "span name a.rs:1 wrongkey=3",
+            "span GraphKnn a.rs:notaline static_alloc_sites=0",
+            "span GraphKnn noline static_alloc_sites=0",
+            "span GraphKnn a.rs:1 static_alloc_sites=x",
+            "span GraphKnn a.rs:1 wrongkey=3",
         ] {
             let err = parse_hot_report(bad).unwrap_err();
             assert!(err.contains("hot-report:1"), "{bad} -> {err}");
         }
     }
 
-    fn measured_span(name: &'static str, net_bytes: Option<i64>) -> graphner_obs::SpanRecord {
+    #[test]
+    fn hot_report_rejects_names_that_are_not_span_name_variants() {
+        // the recorded string, a renamed variant and a lower-case ident
+        // all fail instead of dropping the span out of the reconciliation
+        for bad in ["graph.knn", "GraphKnnSearch", "graphknn"] {
+            let text = format!("# header\nspan {bad} a.rs:1 static_alloc_sites=0\n");
+            let err = parse_hot_report(&text).unwrap_err();
+            assert!(err.contains("hot-report:2") && err.contains("not a SpanName"), "{err}");
+        }
+        // and every variant resolves under its identifier
+        for name in SpanName::ALL {
+            let line = format!("span {name:?} a.rs:1 static_alloc_sites=0");
+            assert_eq!(parse_hot_report(&line).unwrap()[0].name, name);
+        }
+    }
+
+    fn measured_span(name: SpanName, net_bytes: Option<i64>) -> graphner_obs::SpanRecord {
         let mut r = graphner_obs::SpanRecord::synthetic(name, 0.1);
         if let Some(v) = net_bytes {
             r.attrs.push(("mem.net_bytes", graphner_obs::AttrValue::I64(v)));
@@ -666,9 +703,9 @@ span serve.tag_batch crates/core/src/pipeline.rs:530 static_alloc_sites=7
         r
     }
 
-    fn static_span(name: &str, sites: u64) -> HotSpanStatic {
+    fn static_span(name: SpanName, sites: u64) -> HotSpanStatic {
         HotSpanStatic {
-            name: name.to_string(),
+            name,
             path: "crates/x/src/y.rs".to_string(),
             line: 10,
             static_alloc_sites: sites,
@@ -677,37 +714,43 @@ span serve.tag_batch crates/core/src/pipeline.rs:530 static_alloc_sites=7
 
     #[test]
     fn reconcile_flags_zero_static_spans_that_allocate() {
-        let statics = [static_span("perf.propagate", 0)];
+        let statics = [static_span(SpanName::PerfPropagate, 0)];
         let measured = [
-            measured_span("perf.propagate", Some(100)),
-            measured_span("perf.propagate", Some(HIDDEN_ALLOC_THRESHOLD_BYTES + 1)),
+            measured_span(SpanName::PerfPropagate, Some(100)),
+            measured_span(SpanName::PerfPropagate, Some(HIDDEN_ALLOC_THRESHOLD_BYTES + 1)),
         ];
-        let hidden = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
-        assert_eq!(hidden.len(), 1);
-        assert_eq!(hidden[0].span, "perf.propagate");
-        assert_eq!(hidden[0].site, "crates/x/src/y.rs:10");
-        assert_eq!(hidden[0].net_bytes, HIDDEN_ALLOC_THRESHOLD_BYTES + 1);
+        let r = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
+        assert_eq!(r.checked, 1);
+        assert_eq!(r.hidden.len(), 1);
+        assert_eq!(r.hidden[0].span, SpanName::PerfPropagate);
+        assert_eq!(r.hidden[0].site, "crates/x/src/y.rs:10");
+        assert_eq!(r.hidden[0].net_bytes, HIDDEN_ALLOC_THRESHOLD_BYTES + 1);
     }
 
     #[test]
     fn reconcile_clears_spans_with_static_sites_or_small_growth() {
         let statics = [
-            static_span("perf.knn_build", 12), // sites declared: runtime allocation expected
-            static_span("perf.propagate", 0),  // under threshold: allocator noise
-            static_span("crf.train", 0),       // never ran in this process
+            static_span(SpanName::PerfKnnBuild, 12), // sites declared: runtime allocation expected
+            static_span(SpanName::PerfPropagate, 0), // under threshold: allocator noise
+            static_span(SpanName::CrfTrain, 0),      // never ran in this process
         ];
         let measured = [
-            measured_span("perf.knn_build", Some(1 << 30)),
-            measured_span("perf.propagate", Some(HIDDEN_ALLOC_THRESHOLD_BYTES)),
+            measured_span(SpanName::PerfKnnBuild, Some(1 << 30)),
+            measured_span(SpanName::PerfPropagate, Some(HIDDEN_ALLOC_THRESHOLD_BYTES)),
         ];
-        assert!(reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES).is_empty());
+        let r = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
+        // only the zero-site span that ran with alloc accounting counts
+        assert_eq!(r.checked, 1);
+        assert!(r.hidden.is_empty());
     }
 
     #[test]
     fn reconcile_skips_spans_without_alloc_accounting() {
         // no obs-alloc feature -> no mem.net_bytes attr -> nothing to gate
-        let statics = [static_span("perf.propagate", 0)];
-        let measured = [measured_span("perf.propagate", None)];
-        assert!(reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES).is_empty());
+        let statics = [static_span(SpanName::PerfPropagate, 0)];
+        let measured = [measured_span(SpanName::PerfPropagate, None)];
+        let r = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
+        assert_eq!(r.checked, 0);
+        assert!(r.hidden.is_empty());
     }
 }

@@ -9,7 +9,7 @@ use crate::check;
 use crate::config::GraphFeatureSet;
 use graphner_banner::{extract_features, FeatureSet, NerModel};
 use graphner_graph::{knn_inverted_index, KnnGraph, VertexFeatureCounts};
-use graphner_obs::{obs_debug, obs_summary, span};
+use graphner_obs::{obs_debug, obs_summary, span, SpanName};
 use graphner_text::{exactly_zero, Sentence, TrigramInterner, Vocab};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -83,7 +83,7 @@ pub fn build_vertex_vectors(
     // model before feature filtering.
     let allowed: Option<FxHashSet<String>> = match feature_set {
         GraphFeatureSet::MiThreshold(tau) => {
-            let _s = span("graph.mi_filter");
+            let _s = span(SpanName::GraphMiFilter);
             let mi = feature_tag_mi(model, sentences);
             let total = mi.len();
             let allow: FxHashSet<String> =
@@ -101,7 +101,7 @@ pub fn build_vertex_vectors(
     let mut feature_vocab = Vocab::new();
     let mut counts = VertexFeatureCounts::new();
     {
-        let _s = span("graph.vectors");
+        let _s = span(SpanName::GraphVectors);
         let mut buf = Vec::new();
         for sentence in sentences {
             for i in 0..sentence.len() {
@@ -128,7 +128,7 @@ pub fn build_vertex_vectors(
         graphner_obs::attr("graph.features", feature_vocab.len());
     }
     graphner_obs::counter("graph.features").add(feature_vocab.len() as u64);
-    let _s = span("graph.pmi");
+    let _s = span(SpanName::GraphPmi);
     let vectors = counts.pmi_vectors(interner.len());
     let nnz: u64 = vectors.iter().map(|v| v.entries().len() as u64).sum();
     graphner_obs::attr("pmi.nnz", nnz);
@@ -139,7 +139,7 @@ pub fn build_vertex_vectors(
 /// Connect precomputed PMI vectors into the K-nearest-neighbour graph.
 pub fn knn_from_vectors(vectors: &[graphner_graph::SparseVec], k: usize) -> KnnGraph {
     let graph = {
-        let _s = span("graph.knn");
+        let _s = span(SpanName::GraphKnn);
         graphner_obs::attr("knn.k", k);
         knn_inverted_index(vectors, k)
     };

@@ -241,9 +241,9 @@ impl GraphNer {
     /// configuration (Tables III and IV) should instead hold one
     /// session per test corpus and call [`TestSession::run`] per row,
     /// reusing the cached posteriors and graph artifacts. Each stage
-    /// runs inside a `graphner-obs` span named by
-    /// [`crate::timings::stage`]; the returned [`TestTimings`] is built
-    /// from those recorded spans.
+    /// runs inside a `graphner-obs` span named by a `Test*`
+    /// [`graphner_obs::SpanName`]; the returned [`TestTimings`] is
+    /// built from those recorded spans.
     pub fn test(&self, test: &Corpus) -> TestOutput {
         TestSession::new(self, test).run(&self.cfg)
     }

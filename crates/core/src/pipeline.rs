@@ -24,9 +24,10 @@
 //! * the averaged vertex beliefs and the dense `X_ref` slice,
 //!
 //! and each [`TestSession::run`] reuses whatever the requested
-//! configuration allows. Stage spans ([`stage`]) are recorded only when
-//! a stage actually computes, so the per-row [`TestTimings`] reflect
-//! real work: a cached stage contributes zero seconds.
+//! configuration allows. Stage spans (the `Test*` [`SpanName`]s) are
+//! recorded only when a stage actually computes, so the per-row
+//! [`TestTimings`] reflect real work: a cached stage contributes zero
+//! seconds.
 
 #![warn(clippy::cast_possible_truncation)]
 
@@ -35,11 +36,11 @@ use crate::config::{GraphFeatureSet, GraphNerConfig};
 use crate::graphbuild::{build_vertex_vectors, knn_from_vectors};
 use crate::model::{empirical_transitions, GraphNer, TestOutput};
 use crate::stats::GraphStats;
-use crate::timings::{stage, TestTimings};
+use crate::timings::TestTimings;
 use graphner_banner::NerModel;
 use graphner_crf::viterbi_tags;
 use graphner_graph::{propagate_partitioned, KnnGraph, LabelDist, Partition, SparseVec, UNIFORM};
-use graphner_obs::{attr, counter, obs_summary, span, with_capture};
+use graphner_obs::{attr, counter, obs_summary, span, with_capture, SpanName};
 use graphner_text::{
     check_posteriors_finite, validate_sentences, BioTag, Corpus, Sentence, TagError, Tagger,
     TrigramInterner, NUM_TAGS,
@@ -325,7 +326,7 @@ impl<'a> TestSession<'a> {
 
     fn ensure_posteriors(&mut self) {
         if self.posteriors.is_none() {
-            let _s = span(stage::POSTERIORS);
+            let _s = span(SpanName::TestPosteriors);
             attr("corpus.sentences", self.model.train_corpus.len() + self.test.len());
             self.posteriors = Some(PosteriorStage::run(self.model, self.test));
         }
@@ -338,7 +339,7 @@ impl<'a> TestSession<'a> {
         }
         // the span covers only the work this configuration adds: the
         // vectors when the feature set is new, plus the k-NN pass
-        let _s = span(stage::GRAPH);
+        let _s = span(SpanName::TestGraph);
         if !self.vectors.contains_key(&fs_key) {
             let v = GraphStage::vectors(self.model, &mut self.interner, self.test, feature_set);
             self.vectors.insert(fs_key, v);
@@ -373,7 +374,7 @@ impl<'a> TestSession<'a> {
     /// interner over `D_l ∪ D_u`.
     fn ensure_averaged(&mut self) {
         if self.averaged.is_none() {
-            let _s = span(stage::AVERAGE);
+            let _s = span(SpanName::TestAverage);
             attr("average.vertices", self.interner.len());
             let Some(posteriors) = self.posteriors.as_ref() else {
                 unreachable!("callers run ensure_posteriors before ensure_averaged")
@@ -418,7 +419,7 @@ impl<'a> TestSession<'a> {
             // copy of the cached averages
             let mut x = averaged.clone();
             let report = {
-                let _s = span(stage::PROPAGATE);
+                let _s = span(SpanName::TestPropagate);
                 PropagateStage::run(graph, partition, &mut x, x_ref_slice, cfg)
             };
 
@@ -430,7 +431,7 @@ impl<'a> TestSession<'a> {
             );
             let test_posteriors = posteriors.test();
             let predictions = {
-                let _s = span(stage::DECODE);
+                let _s = span(SpanName::TestDecode);
                 attr("decode.sentences", self.test.len());
                 DecodeStage::run(
                     self.test,
@@ -554,7 +555,7 @@ impl Tagger for GraphTagger {
     // hot: parallel batch tagging, the serve-path throughput core
     fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
         validate_sentences(sentences)?;
-        let _s = span("serve.tag_batch");
+        let _s = span(SpanName::ServeTagBatch);
         attr("batch.sentences", sentences.len());
         let before = rayon::pool_stats();
         // alloc: one result slot per sentence, collected in batch order
@@ -624,8 +625,8 @@ mod tests {
         ])
     }
 
-    fn count(spans: &[graphner_obs::SpanRecord], name: &str) -> usize {
-        spans.iter().filter(|s| s.name == name).count()
+    fn count(spans: &[graphner_obs::SpanRecord], name: SpanName) -> usize {
+        spans.iter().filter(|s| s.name == name.as_str()).count()
     }
 
     #[test]
@@ -647,11 +648,11 @@ mod tests {
         assert_eq!(outs.0.base_predictions, one_shot.base_predictions);
         assert_eq!(outs.1.base_predictions, one_shot.base_predictions);
         // heavy stages ran once; only propagate + decode repeat
-        assert_eq!(count(&spans, stage::POSTERIORS), 1);
-        assert_eq!(count(&spans, stage::GRAPH), 1);
-        assert_eq!(count(&spans, stage::AVERAGE), 1);
-        assert_eq!(count(&spans, stage::PROPAGATE), 2);
-        assert_eq!(count(&spans, stage::DECODE), 2);
+        assert_eq!(count(&spans, SpanName::TestPosteriors), 1);
+        assert_eq!(count(&spans, SpanName::TestGraph), 1);
+        assert_eq!(count(&spans, SpanName::TestAverage), 1);
+        assert_eq!(count(&spans, SpanName::TestPropagate), 2);
+        assert_eq!(count(&spans, SpanName::TestDecode), 2);
         // and the cached second run reports zero seconds for them
         assert_eq!(outs.1.timings.posterior_seconds, 0.0);
         assert_eq!(outs.1.timings.graph_seconds, 0.0);

@@ -3,25 +3,10 @@
 //!
 //! The timings are no longer measured ad hoc: [`crate::GraphNer::test`]
 //! wraps each stage in a `graphner-obs` span and [`TestTimings`] is a
-//! *view* over the recorded [`SpanRecord`]s, keyed by the stage-name
-//! constants in [`stage`].
+//! *view* over the recorded [`SpanRecord`]s, keyed by the `Test*`
+//! variants of [`SpanName`].
 
-use graphner_obs::SpanRecord;
-
-/// Span names recorded by [`crate::GraphNer::test`], one per stage of
-/// Algorithm 1's TEST procedure.
-pub mod stage {
-    /// Line 5: CRF posterior extraction over `D_l ∪ D_u`.
-    pub const POSTERIORS: &str = "test.posteriors";
-    /// Graph construction (feature vectors + k-NN).
-    pub const GRAPH: &str = "test.graph";
-    /// Line 6: posterior averaging over vertices.
-    pub const AVERAGE: &str = "test.average";
-    /// Line 7: graph propagation.
-    pub const PROPAGATE: &str = "test.propagate";
-    /// Lines 8–9: combination and Viterbi decode.
-    pub const DECODE: &str = "test.decode";
-}
+use graphner_obs::{SpanName, SpanRecord};
 
 /// Per-stage wall seconds of [`crate::GraphNer::test`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,14 +30,15 @@ impl TestTimings {
     pub fn from_spans(spans: &[SpanRecord]) -> TestTimings {
         let mut t = TestTimings::default();
         for s in spans {
-            match s.name {
-                stage::POSTERIORS => t.posterior_seconds += s.seconds,
-                stage::GRAPH => t.graph_seconds += s.seconds,
-                stage::AVERAGE => t.average_seconds += s.seconds,
-                stage::PROPAGATE => t.propagate_seconds += s.seconds,
-                stage::DECODE => t.decode_seconds += s.seconds,
-                _ => {}
-            }
+            let stage = match s.name {
+                n if n == SpanName::TestPosteriors.as_str() => &mut t.posterior_seconds,
+                n if n == SpanName::TestGraph.as_str() => &mut t.graph_seconds,
+                n if n == SpanName::TestAverage.as_str() => &mut t.average_seconds,
+                n if n == SpanName::TestPropagate.as_str() => &mut t.propagate_seconds,
+                n if n == SpanName::TestDecode.as_str() => &mut t.decode_seconds,
+                _ => continue,
+            };
+            *stage += s.seconds;
         }
         t
     }
@@ -93,14 +79,14 @@ mod tests {
     #[test]
     fn from_spans_round_trips() {
         let spans = vec![
-            SpanRecord::synthetic(stage::POSTERIORS, 1.0),
-            SpanRecord::synthetic(stage::GRAPH, 2.0),
-            SpanRecord::synthetic(stage::AVERAGE, 0.5),
-            SpanRecord::synthetic(stage::PROPAGATE, 0.25),
-            SpanRecord::synthetic(stage::DECODE, 0.25),
+            SpanRecord::synthetic(SpanName::TestPosteriors, 1.0),
+            SpanRecord::synthetic(SpanName::TestGraph, 2.0),
+            SpanRecord::synthetic(SpanName::TestAverage, 0.5),
+            SpanRecord::synthetic(SpanName::TestPropagate, 0.25),
+            SpanRecord::synthetic(SpanName::TestDecode, 0.25),
             // nested sub-spans and unrelated spans must not count
-            SpanRecord::synthetic("graph.knn", 1.5),
-            SpanRecord::synthetic("something.else", 9.0),
+            SpanRecord::synthetic(SpanName::GraphKnn, 1.5),
+            SpanRecord::synthetic(SpanName::ServeTagBatch, 9.0),
         ];
         let t = TestTimings::from_spans(&spans);
         assert_eq!(t.posterior_seconds, 1.0);
@@ -115,8 +101,8 @@ mod tests {
     #[test]
     fn repeated_stage_spans_accumulate() {
         let spans = vec![
-            SpanRecord::synthetic(stage::PROPAGATE, 0.25),
-            SpanRecord::synthetic(stage::PROPAGATE, 0.75),
+            SpanRecord::synthetic(SpanName::TestPropagate, 0.25),
+            SpanRecord::synthetic(SpanName::TestPropagate, 0.75),
         ];
         let t = TestTimings::from_spans(&spans);
         assert_eq!(t.propagate_seconds, 1.0);

@@ -8,7 +8,7 @@
 
 use crate::lbfgs::{self, LbfgsConfig, StopReason};
 use crate::model::{ChainCrf, SentenceFeatures};
-use graphner_obs::{attr, obs_summary, span};
+use graphner_obs::{attr, obs_summary, span, SpanName};
 use graphner_text::exactly_zero;
 use rayon::prelude::*;
 
@@ -174,7 +174,7 @@ impl ChainCrf {
             data.iter().all(|s| s.gold.is_some()),
             "all training sentences must carry gold tags"
         );
-        let _s = span("crf.train");
+        let _s = span(SpanName::CrfTrain);
         attr("train.sentences", data.len());
         attr("train.params", self.num_params());
         let mut scratch = self.clone();

@@ -4,8 +4,9 @@
 //! Three pillars, each usable on its own:
 //!
 //! * [`span`](mod@span) — nestable RAII wall-clock timers. `let _s =
-//!   span("test.propagate");` records a [`SpanRecord`] into a global
-//!   registry when the guard drops. [`with_capture`] scopes a
+//!   span(SpanName::TestPropagate);` records a [`SpanRecord`] into a
+//!   global registry when the guard drops; span names are the closed
+//!   [`SpanName`] vocabulary. [`with_capture`] scopes a
 //!   deterministic view of the spans recorded by the current thread,
 //!   which is how `TestTimings` in `graphner-core` is built.
 //! * [`metrics`] — process-wide named [`Counter`]s, [`Gauge`]s and
@@ -43,7 +44,8 @@ pub mod trace;
 pub use logger::{level, set_level, Level};
 pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, Registry};
 pub use span::{
-    attr, span, with_capture, with_capture_all, AttrValue, SpanGuard, SpanRecord, Stopwatch,
+    attr, span, with_capture, with_capture_all, AttrValue, SpanGuard, SpanName, SpanRecord,
+    Stopwatch,
 };
 pub use trace::{
     chrome_trace_json, trace_events, TraceClock, TraceEvent, TracePhase, TRACE_CLOCK_ENV,

@@ -66,6 +66,99 @@ thread_local! {
         const { RefCell::new(Vec::new()) };
 }
 
+/// The closed span vocabulary: every name a [`span`] or
+/// [`SpanRecord::synthetic`] can carry. Trace viewers, `TestTimings`
+/// in `graphner-core`, `BENCH_pipeline.json` stage keys and the
+/// benchmark's per-layer rows all key on these strings, so a new name
+/// is a new variant here, and a misspelt one fails to compile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SpanName {
+    /// Algorithm 1 line 5: CRF posterior extraction over `D_l ∪ D_u`.
+    TestPosteriors,
+    /// Graph construction for the test procedure (vectors + k-NN).
+    TestGraph,
+    /// Algorithm 1 line 6: posterior averaging over vertices.
+    TestAverage,
+    /// Algorithm 1 line 7: graph propagation.
+    TestPropagate,
+    /// Algorithm 1 lines 8–9: combination and Viterbi decode.
+    TestDecode,
+    /// Vertex feature vectors of the similarity graph.
+    GraphVectors,
+    /// PMI weighting of the vertex vectors.
+    GraphPmi,
+    /// k-nearest-neighbour graph search.
+    GraphKnn,
+    /// Mutual-information feature filter.
+    GraphMiFilter,
+    /// One batch through the served tagger.
+    ServeTagBatch,
+    /// One HTTP request in the server.
+    ServeRequest,
+    /// One batch drained by the serve batcher.
+    ServeBatch,
+    /// CRF training.
+    CrfTrain,
+    /// perfsuite stage: PMI build.
+    PerfPmiBuild,
+    /// perfsuite stage: k-NN build.
+    PerfKnnBuild,
+    /// perfsuite stage: propagation.
+    PerfPropagate,
+    /// perfsuite stage: sharded propagation.
+    PerfPropagateSharded,
+    /// perfsuite stage: Viterbi decode.
+    PerfViterbiDecode,
+}
+
+impl SpanName {
+    /// Every variant, in declaration order.
+    pub const ALL: [SpanName; 18] = [
+        SpanName::TestPosteriors,
+        SpanName::TestGraph,
+        SpanName::TestAverage,
+        SpanName::TestPropagate,
+        SpanName::TestDecode,
+        SpanName::GraphVectors,
+        SpanName::GraphPmi,
+        SpanName::GraphKnn,
+        SpanName::GraphMiFilter,
+        SpanName::ServeTagBatch,
+        SpanName::ServeRequest,
+        SpanName::ServeBatch,
+        SpanName::CrfTrain,
+        SpanName::PerfPmiBuild,
+        SpanName::PerfKnnBuild,
+        SpanName::PerfPropagate,
+        SpanName::PerfPropagateSharded,
+        SpanName::PerfViterbiDecode,
+    ];
+
+    /// The recorded name, `area.verb`-shaped.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            SpanName::TestPosteriors => "test.posteriors",
+            SpanName::TestGraph => "test.graph",
+            SpanName::TestAverage => "test.average",
+            SpanName::TestPropagate => "test.propagate",
+            SpanName::TestDecode => "test.decode",
+            SpanName::GraphVectors => "graph.vectors",
+            SpanName::GraphPmi => "graph.pmi",
+            SpanName::GraphKnn => "graph.knn",
+            SpanName::GraphMiFilter => "graph.mi_filter",
+            SpanName::ServeTagBatch => "serve.tag_batch",
+            SpanName::ServeRequest => "serve.request",
+            SpanName::ServeBatch => "serve.batch",
+            SpanName::CrfTrain => "crf.train",
+            SpanName::PerfPmiBuild => "perf.pmi_build",
+            SpanName::PerfKnnBuild => "perf.knn_build",
+            SpanName::PerfPropagate => "perf.propagate",
+            SpanName::PerfPropagateSharded => "perf.propagate_sharded",
+            SpanName::PerfViterbiDecode => "perf.viterbi_decode",
+        }
+    }
+}
+
 /// One typed span attribute value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AttrValue {
@@ -152,7 +245,7 @@ pub fn attr(key: &'static str, value: impl Into<AttrValue>) {
 /// One completed span.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
-    /// Span name, e.g. `"test.propagate"`.
+    /// [`SpanName::as_str`] of the span's name, e.g. `"test.propagate"`.
     pub name: &'static str,
     /// Label of the thread the span ran on.
     pub thread: u64,
@@ -179,12 +272,12 @@ impl SpanRecord {
     /// A record that was never timed — a named duration injected
     /// directly, used when converting legacy timing data into span
     /// form (e.g. `TestTimings` round-trips in `graphner-core`).
-    pub fn synthetic(name: &'static str, seconds: f64) -> SpanRecord {
+    pub fn synthetic(name: SpanName, seconds: f64) -> SpanRecord {
         let enter = SEQ.fetch_add(1, Ordering::Relaxed);
         let exit = SEQ.fetch_add(1, Ordering::Relaxed);
         let now = epoch_us(Instant::now());
         SpanRecord {
-            name,
+            name: name.as_str(),
             thread: THREAD_LABEL.with(|t| *t),
             depth: DEPTH.with(|d| d.get()),
             enter_seq: enter,
@@ -237,7 +330,19 @@ pub struct SpanGuard {
 /// when dropped. Guards must drop in LIFO order on their thread (the
 /// natural scoping of `let _s = span(..)`), or attributes attach to
 /// the wrong span.
-pub fn span(name: &'static str) -> SpanGuard {
+///
+/// The name is a [`SpanName`]:
+///
+/// ```
+/// let _s = graphner_obs::span(graphner_obs::SpanName::GraphKnn);
+/// ```
+///
+/// and a free-form string does not compile:
+///
+/// ```compile_fail
+/// let _s = graphner_obs::span("graph.knn");
+/// ```
+pub fn span(name: SpanName) -> SpanGuard {
     let depth = DEPTH.with(|d| {
         let depth = d.get();
         d.set(depth + 1);
@@ -245,7 +350,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     });
     OPEN_ATTRS.with(|stack| stack.borrow_mut().push(Vec::new()));
     SpanGuard {
-        name,
+        name: name.as_str(),
         depth,
         enter_seq: SEQ.fetch_add(1, Ordering::Relaxed),
         start: Instant::now(),
@@ -343,19 +448,63 @@ pub fn drain() -> Vec<SpanRecord> {
 mod tests {
     use super::*;
 
+    /// The names are `area.verb`-shaped (two or more non-empty
+    /// dot-separated segments of `[a-z0-9_]`) and unique, and they stay
+    /// byte-for-byte what `BENCH_pipeline.json` and the benchmark's
+    /// per-layer rows key on.
+    #[test]
+    fn span_names_are_unique_area_verb_and_pinned() {
+        let names: Vec<&str> = SpanName::ALL.iter().map(|n| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "test.posteriors",
+                "test.graph",
+                "test.average",
+                "test.propagate",
+                "test.decode",
+                "graph.vectors",
+                "graph.pmi",
+                "graph.knn",
+                "graph.mi_filter",
+                "serve.tag_batch",
+                "serve.request",
+                "serve.batch",
+                "crf.train",
+                "perf.pmi_build",
+                "perf.knn_build",
+                "perf.propagate",
+                "perf.propagate_sharded",
+                "perf.viterbi_decode",
+            ]
+        );
+        for (i, name) in names.iter().enumerate() {
+            let segments: Vec<&str> = name.split('.').collect();
+            assert!(segments.len() >= 2, "{name} is not area.verb");
+            assert!(
+                segments.iter().all(|seg| !seg.is_empty()
+                    && seg
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')),
+                "{name} is not area.verb"
+            );
+            assert!(!names[..i].contains(name), "{name} is minted by two variants");
+        }
+    }
+
     #[test]
     fn nesting_depth_and_sequencing() {
         let ((), spans) = with_capture(|| {
-            let _outer = span("outer");
+            let _outer = span(SpanName::TestGraph);
             {
-                let _inner = span("inner");
+                let _inner = span(SpanName::GraphKnn);
                 std::hint::black_box(1 + 1);
             }
         });
         assert_eq!(spans.len(), 2);
         // children drop first, so exit order is inner then outer
-        assert_eq!(spans[0].name, "inner");
-        assert_eq!(spans[1].name, "outer");
+        assert_eq!(spans[0].name, "graph.knn");
+        assert_eq!(spans[1].name, "test.graph");
         let (inner, outer) = (&spans[0], &spans[1]);
         assert_eq!(outer.depth, inner.depth.wrapping_sub(1));
         assert!(inner.enter_seq > outer.enter_seq);
@@ -371,58 +520,58 @@ mod tests {
     #[test]
     fn capture_excludes_spans_outside_the_window() {
         {
-            let _before = span("outside.before");
+            let _before = span(SpanName::GraphPmi);
         }
         let ((), spans) = with_capture(|| {
-            let _in = span("inside");
+            let _in = span(SpanName::GraphVectors);
         });
-        assert_eq!(spans.iter().filter(|s| s.name == "inside").count(), 1);
-        assert!(spans.iter().all(|s| s.name != "outside.before"));
+        assert_eq!(spans.iter().filter(|s| s.name == "graph.vectors").count(), 1);
+        assert!(spans.iter().all(|s| s.name != "graph.pmi"));
     }
 
     #[test]
     fn capture_is_per_thread_under_std_threads() {
         std::thread::scope(|scope| {
             // hammer the registry from two other threads the whole time
-            let noise = |tag: &'static str| {
+            let noise = |tag: SpanName| {
                 move || {
                     for _ in 0..500 {
                         let _n = span(tag);
                     }
                 }
             };
-            scope.spawn(noise("noise.a"));
-            scope.spawn(noise("noise.b"));
+            scope.spawn(noise(SpanName::PerfPmiBuild));
+            scope.spawn(noise(SpanName::PerfKnnBuild));
             let ((), spans) = with_capture(|| {
-                let _mine = span("mine.outer");
-                let _child = span("mine.child");
+                let _mine = span(SpanName::TestDecode);
+                let _child = span(SpanName::CrfTrain);
             });
             let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
-            assert_eq!(names, vec!["mine.child", "mine.outer"]);
+            assert_eq!(names, vec!["crf.train", "test.decode"]);
         });
     }
 
     #[test]
     fn capture_all_sees_other_threads_in_window() {
         let ((), spans) = with_capture_all(|| {
-            let _mine = span("all.outer");
+            let _mine = span(SpanName::ServeRequest);
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    let _w = span("all.worker");
+                    let _w = span(SpanName::ServeBatch);
                 });
             });
         });
-        assert_eq!(spans.iter().filter(|s| s.name == "all.worker").count(), 1);
-        assert_eq!(spans.iter().filter(|s| s.name == "all.outer").count(), 1);
-        let worker = spans.iter().find(|s| s.name == "all.worker").unwrap();
-        let outer = spans.iter().find(|s| s.name == "all.outer").unwrap();
+        assert_eq!(spans.iter().filter(|s| s.name == "serve.batch").count(), 1);
+        assert_eq!(spans.iter().filter(|s| s.name == "serve.request").count(), 1);
+        let worker = spans.iter().find(|s| s.name == "serve.batch").unwrap();
+        let outer = spans.iter().find(|s| s.name == "serve.request").unwrap();
         assert_ne!(worker.thread, outer.thread);
     }
 
     #[test]
     fn synthetic_records_carry_given_seconds() {
-        let record = SpanRecord::synthetic("legacy.phase", 1.25);
-        assert_eq!(record.name, "legacy.phase");
+        let record = SpanRecord::synthetic(SpanName::TestAverage, 1.25);
+        assert_eq!(record.name, "test.average");
         assert!((record.seconds - 1.25).abs() < 1e-15);
         assert!(record.exit_seq > record.enter_seq);
         assert_eq!(record.start_us, record.end_us);
@@ -432,17 +581,17 @@ mod tests {
     #[test]
     fn attrs_attach_to_innermost_open_span() {
         let ((), spans) = with_capture(|| {
-            let _outer = span("attr.outer");
+            let _outer = span(SpanName::TestPropagate);
             attr("graph.vertices", 42u64);
             {
-                let _inner = span("attr.inner");
+                let _inner = span(SpanName::PerfPropagate);
                 attr("propagate.sweeps", 3usize);
                 attr("propagate.residual", 0.5f64);
             }
             attr("late", "tail");
         });
-        let inner = spans.iter().find(|s| s.name == "attr.inner").unwrap();
-        let outer = spans.iter().find(|s| s.name == "attr.outer").unwrap();
+        let inner = spans.iter().find(|s| s.name == "perf.propagate").unwrap();
+        let outer = spans.iter().find(|s| s.name == "test.propagate").unwrap();
         assert_eq!(inner.attr("propagate.sweeps"), Some(&AttrValue::U64(3)));
         assert_eq!(inner.attr("propagate.residual"), Some(&AttrValue::F64(0.5)));
         assert!(inner.attr("graph.vertices").is_none());
@@ -454,11 +603,11 @@ mod tests {
     fn attr_first_write_wins_and_no_open_span_is_a_noop() {
         attr("orphan", 1u64); // no open span: must not panic or leak
         let ((), spans) = with_capture(|| {
-            let _s = span("attr.dedup");
+            let _s = span(SpanName::ServeTagBatch);
             attr("k", 1u64);
             attr("k", 2u64);
         });
-        let s = spans.iter().find(|s| s.name == "attr.dedup").unwrap();
+        let s = spans.iter().find(|s| s.name == "serve.tag_batch").unwrap();
         assert_eq!(s.attr("k"), Some(&AttrValue::U64(1)));
         assert_eq!(s.attrs.iter().filter(|(k, _)| *k == "k").count(), 1);
     }
@@ -466,10 +615,10 @@ mod tests {
     #[test]
     fn mem_attrs_present_exactly_when_alloc_enabled() {
         let ((), spans) = with_capture(|| {
-            let _s = span("mem.probe");
+            let _s = span(SpanName::GraphMiFilter);
             std::hint::black_box(vec![0u8; 4096]);
         });
-        let s = spans.iter().find(|s| s.name == "mem.probe").unwrap();
+        let s = spans.iter().find(|s| s.name == "graph.mi_filter").unwrap();
         assert_eq!(s.attr("mem.net_bytes").is_some(), crate::alloc::enabled());
         assert_eq!(s.attr("mem.peak_bytes").is_some(), crate::alloc::enabled());
     }

@@ -185,14 +185,14 @@ pub fn chrome_trace_json(spans: &[SpanRecord], clock: TraceClock) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{attr, span, with_capture};
+    use crate::span::{attr, span, with_capture, SpanName};
 
     fn sample_spans() -> Vec<SpanRecord> {
         let ((), spans) = with_capture(|| {
-            let _outer = span("trace.outer");
+            let _outer = span(SpanName::TestGraph);
             attr("graph.vertices", 7u64);
             {
-                let _inner = span("trace.inner");
+                let _inner = span(SpanName::GraphKnn);
                 attr("propagate.residual", 0.25f64);
             }
         });
@@ -210,10 +210,10 @@ mod tests {
         assert_eq!(
             phases(&events),
             vec![
-                ("trace.outer", TracePhase::Begin),
-                ("trace.inner", TracePhase::Begin),
-                ("trace.inner", TracePhase::End),
-                ("trace.outer", TracePhase::End),
+                ("test.graph", TracePhase::Begin),
+                ("graph.knn", TracePhase::Begin),
+                ("graph.knn", TracePhase::End),
+                ("test.graph", TracePhase::End),
             ]
         );
         // logical clock rebases to zero and keeps every ts distinct
@@ -233,8 +233,8 @@ mod tests {
         let at = |name: &str, phase: TracePhase| {
             events.iter().find(|e| e.name == name && e.phase == phase).unwrap().ts
         };
-        assert!(at("trace.inner", TracePhase::Begin) >= at("trace.outer", TracePhase::Begin));
-        assert!(at("trace.inner", TracePhase::End) <= at("trace.outer", TracePhase::End));
+        assert!(at("graph.knn", TracePhase::Begin) >= at("test.graph", TracePhase::Begin));
+        assert!(at("graph.knn", TracePhase::End) <= at("test.graph", TracePhase::End));
     }
 
     #[test]
@@ -243,7 +243,7 @@ mod tests {
         let json = chrome_trace_json(&spans, TraceClock::Logical);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}\n"));
-        assert!(json.contains("\"name\":\"trace.outer\",\"ph\":\"B\""));
+        assert!(json.contains("\"name\":\"test.graph\",\"ph\":\"B\""));
         // under obs-alloc the args object also carries mem.* attrs, so
         // match the rendered pair rather than the whole object
         assert!(json.contains("\"args\":{\"graph.vertices\":7"));

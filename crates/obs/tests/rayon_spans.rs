@@ -4,7 +4,7 @@
 //! even on single-core CI runners: `with_capture` must keep filtering
 //! worker spans out, `with_capture_all` must see them.
 
-use graphner_obs::span::{span, with_capture, with_capture_all};
+use graphner_obs::span::{span, with_capture, with_capture_all, SpanName};
 use rayon::prelude::*;
 
 /// Force a multi-worker pool regardless of host core count. The pool
@@ -19,25 +19,25 @@ fn capture_isolates_current_thread_from_rayon_workers() {
     pin_pool_threads();
     let data: Vec<usize> = (0..256).collect();
     let ((), spans) = with_capture(|| {
-        let _stage = span("stage.outer");
+        let _stage = span(SpanName::TestPropagate);
         let total: usize = data
             .par_iter()
             .map(|&i| {
-                let _worker = span("worker.item");
+                let _worker = span(SpanName::PerfPropagate);
                 i
             })
             .sum();
         assert_eq!(total, 256 * 255 / 2);
     });
     // the outer stage span is always captured…
-    assert_eq!(spans.iter().filter(|s| s.name == "stage.outer").count(), 1);
+    assert_eq!(spans.iter().filter(|s| s.name == "test.propagate").count(), 1);
     // …and every captured span belongs to the capturing thread with
     // consistent nesting: items recorded on this thread must sit
     // strictly inside the stage span's sequence window. Items executed
     // by pool workers are in the global registry but not here — that
     // current-thread filter is what `with_capture`'s docs promise.
-    let stage = spans.iter().find(|s| s.name == "stage.outer").unwrap();
-    for item in spans.iter().filter(|s| s.name == "worker.item") {
+    let stage = spans.iter().find(|s| s.name == "test.propagate").unwrap();
+    for item in spans.iter().filter(|s| s.name == "perf.propagate") {
         assert_eq!(item.thread, stage.thread);
         assert!(item.enter_seq > stage.enter_seq);
         assert!(item.exit_seq < stage.exit_seq);
@@ -57,11 +57,11 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
     let mut off_thread = 0usize;
     for _attempt in 0..5 {
         let ((), all) = with_capture_all(|| {
-            let _stage = span("xthread.stage");
+            let _stage = span(SpanName::TestDecode);
             let total: usize = data
                 .par_iter()
                 .map(|&i| {
-                    let _worker = span("xthread.item");
+                    let _worker = span(SpanName::PerfViterbiDecode);
                     let watch = graphner_obs::Stopwatch::start();
                     while watch.elapsed_seconds() < 100e-6 {
                         std::hint::spin_loop();
@@ -74,8 +74,8 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
         // Filter by name: with_capture_all's window also catches spans
         // from unrelated concurrent tests in this binary (documented
         // price of the all-threads scope).
-        let stage = all.iter().find(|s| s.name == "xthread.stage").expect("stage span captured");
-        let items: Vec<_> = all.iter().filter(|s| s.name == "xthread.item").collect();
+        let stage = all.iter().find(|s| s.name == "test.decode").expect("stage span captured");
+        let items: Vec<_> = all.iter().filter(|s| s.name == "perf.viterbi_decode").collect();
         // no worker span is lost: every one of the 256 items is
         // captured, whichever thread executed its chunk…
         assert_eq!(items.len(), 256);

@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use graphner_core::ServeConfig;
-use graphner_obs::{attr, histogram, span, Stopwatch};
+use graphner_obs::{attr, histogram, span, SpanName, Stopwatch};
 use graphner_text::{BioTag, Sentence, TagError, Tagger};
 
 use crate::queue::{BoundedQueue, PopResult};
@@ -173,7 +173,7 @@ pub fn run_batcher<T: Tagger>(queue: &BoundedQueue<TagRequest>, tagger: &T, cfg:
 
 /// Tag one coalesced batch and deliver each request's slice.
 fn flush<T: Tagger>(tagger: &T, batch: Vec<TagRequest>) {
-    let _s = span("serve.batch");
+    let _s = span(SpanName::ServeBatch);
     let mut live: Vec<TagRequest> = Vec::with_capacity(batch.len());
     for request in batch {
         if request.deadline.expired() {

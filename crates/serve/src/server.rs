@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use graphner_core::ServeConfig;
-use graphner_obs::{attr, span, Counter, Gauge, Histogram, Registry, Stopwatch};
+use graphner_obs::{attr, span, Counter, Gauge, Histogram, Registry, SpanName, Stopwatch};
 use graphner_text::{tokenize, validate_sentences, BioTag, Sentence, TagError, Tagger};
 
 use crate::batcher::{run_batcher, Deadline, ResponseSlot, TagRequest, TagResponse};
@@ -310,7 +310,7 @@ fn respond(writer: &mut TcpStream, request: &Request, ctx: &Ctx) -> std::io::Res
 /// The `POST /v1/tag` path: parse, validate, enqueue, await, render.
 fn respond_tag(writer: &mut TcpStream, body: &[u8], ctx: &Ctx) -> std::io::Result<()> {
     let clock = Stopwatch::start();
-    let _s = span("serve.request");
+    let _s = span(SpanName::ServeRequest);
     let sentences = match parse_tag_body(body) {
         Ok(sentences) => sentences,
         Err(what) => {

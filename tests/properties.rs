@@ -3,6 +3,7 @@
 use graphner::core::check;
 use graphner::crf::{viterbi_tags, ChainCrf, Order, SentenceFeatures};
 use graphner::graph::{knn_inverted_index, SparseVec};
+use graphner::obs::SpanName;
 use graphner::text::sentence::{mentions_to_tags, tags_to_mentions};
 use graphner::text::{tokenize, BioTag, Mention, Sentence};
 use proptest::prelude::*;
@@ -202,11 +203,17 @@ fn span_tree_from_walk(ops: &[usize]) -> SpanTree {
     root
 }
 
-/// Open one span per tree node, recursively. Span names must be
-/// `&'static str`, so nodes draw from a fixed pool keyed by depth and
-/// sibling index.
+/// Open one span per tree node, recursively. Span names come from the
+/// closed [`SpanName`] vocabulary, so nodes draw from a fixed pool of
+/// it keyed by depth and sibling index.
 fn run_span_tree(tree: &SpanTree, depth: usize, sibling: usize) {
-    const NAMES: [&str; 5] = ["prop.root", "prop.left", "prop.mid", "prop.right", "prop.deep"];
+    const NAMES: [SpanName; 5] = [
+        SpanName::TestPosteriors,
+        SpanName::TestGraph,
+        SpanName::TestAverage,
+        SpanName::TestPropagate,
+        SpanName::TestDecode,
+    ];
     let _guard = graphner::obs::span(NAMES[(depth + sibling) % NAMES.len()]);
     for (i, child) in tree.0.iter().enumerate() {
         run_span_tree(child, depth + 1, i);

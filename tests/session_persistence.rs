@@ -6,11 +6,10 @@
 
 use graphner::banner::NerConfig;
 use graphner::core::persist::{load_model, read_model, save_model, write_model, PersistError};
-use graphner::core::timings::stage;
 use graphner::core::{GraphFeatureSet, GraphNer, GraphNerConfig, TestSession};
 use graphner::corpusgen::{generate, CorpusProfile};
 use graphner::crf::TrainConfig;
-use graphner::obs::with_capture;
+use graphner::obs::{with_capture, SpanName};
 
 fn quick_cfg() -> NerConfig {
     NerConfig {
@@ -38,10 +37,11 @@ fn session_sweep_matches_one_shot_runs_and_extracts_posteriors_once() {
 
     // the acceptance criterion of the refactor: corpus posteriors are
     // extracted once for the whole sweep, not once per row
-    let posterior_spans = spans.iter().filter(|s| s.name == stage::POSTERIORS).count();
+    let posterior_spans =
+        spans.iter().filter(|s| s.name == SpanName::TestPosteriors.as_str()).count();
     assert_eq!(posterior_spans, 1, "posteriors must be cached across ablation rows");
     // three distinct (feature set, K) pairs → three graph builds
-    let graph_spans = spans.iter().filter(|s| s.name == stage::GRAPH).count();
+    let graph_spans = spans.iter().filter(|s| s.name == SpanName::TestGraph.as_str()).count();
     assert_eq!(graph_spans, 3);
 
     // every cached row is byte-identical to a fresh uncached model run
