@@ -15,9 +15,8 @@
 //!   `audit.hot_fns`) as JSONL through `graphner-obs`, so the metrics
 //!   trajectory records lint debt over time.
 //! * `--hot-report <path>` — write the hot-path inventory: every
-//!   `// hot:`-reachable function with its static alloc-site count,
-//!   plus the `span … static_alloc_sites=<n>` lines the perfsuite
-//!   static↔runtime reconciliation consumes.
+//!   `// hot:`-reachable function with its static alloc-site count and
+//!   its call path from a root.
 //! * `--github-annotations` — additionally emit each finding as a
 //!   GitHub Actions workflow command
 //!   (`::error file=…,line=…,title=…::…`) so CI renders them inline on

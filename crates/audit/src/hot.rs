@@ -17,18 +17,11 @@
 //!
 //! The walk inherits the resolver's conservatism: ambiguous and
 //! std-shadowed callee names never resolve, so the hot set — and with
-//! it every finding — can only under-report. The static↔runtime
-//! reconciliation closes that gap: the inventory's `span` section maps
-//! each span minted inside (or calling into) the hot set to its
-//! statically visible allocation-site count, and perfsuite
-//! cross-references those counts against the measured per-span
-//! `mem.net_bytes`, failing when a span with zero static sites
-//! allocates above threshold at runtime (a hidden vendored/closure
-//! allocation the lexical rules cannot see).
+//! it every finding — can only under-report.
 
 use crate::rules::{Finding, Rule};
 use crate::symbols::FileIndex;
-use crate::symgraph::{FnId, HotReach, SymbolGraph};
+use crate::symgraph::{HotReach, SymbolGraph};
 
 /// One hot-reachable function in the `--hot-report` inventory.
 #[derive(Clone, Debug)]
@@ -47,44 +40,25 @@ pub struct HotFnRecord {
     pub via: String,
 }
 
-/// One span whose dynamic extent enters the hot set.
-#[derive(Clone, Debug)]
-pub struct HotSpanRecord {
-    /// The `SpanName` variant identifier.
-    pub name: String,
-    /// Workspace-relative path of the minting site.
-    pub path: String,
-    /// 1-based line of the minting site.
-    pub line: usize,
-    /// Total allocation sites statically visible from the minting
-    /// function over resolved call edges (its own body included).
-    pub static_alloc_sites: usize,
-}
-
-/// The `--hot-report` payload: hot functions plus the span mapping the
-/// perfsuite reconciliation consumes.
+/// The `--hot-report` payload: every hot-reachable function.
 #[derive(Clone, Debug, Default)]
 pub struct HotInventory {
     /// Hot-reachable functions, in (file, fn) order.
     pub fns: Vec<HotFnRecord>,
-    /// Hot spans, in (file, span) order.
-    pub spans: Vec<HotSpanRecord>,
 }
 
 impl HotInventory {
-    /// Render the report text. Line grammar (consumed by perfsuite —
-    /// keep stable): `root <path>:<line> <name> alloc_sites=<n> — <reason>`,
-    /// `fn <path>:<line> <name> alloc_sites=<n> via <a -> b -> c>`,
-    /// `span <SpanName variant> <path>:<line> static_alloc_sites=<n>`.
+    /// Render the report text, one line per function:
+    /// `root <path>:<line> <name> alloc_sites=<n> — <reason>` or
+    /// `fn <path>:<line> <name> alloc_sites=<n> via <a -> b -> c>`.
     pub fn render(&self) -> String {
         let roots = self.fns.iter().filter(|f| f.root_reason.is_some()).count();
         let total_allocs: usize = self.fns.iter().map(|f| f.alloc_sites).sum();
         let mut out = format!(
-            "# hot-path inventory: {} roots, {} functions, {} alloc sites, {} spans\n",
+            "# hot-path inventory: {} roots, {} functions, {} alloc sites\n",
             roots,
             self.fns.len(),
-            total_allocs,
-            self.spans.len()
+            total_allocs
         );
         for f in &self.fns {
             match &f.root_reason {
@@ -97,12 +71,6 @@ impl HotInventory {
                     f.path, f.line, f.name, f.alloc_sites, f.via
                 )),
             }
-        }
-        for s in &self.spans {
-            out.push_str(&format!(
-                "span {} {}:{} static_alloc_sites={}\n",
-                s.name, s.path, s.line, s.static_alloc_sites
-            ));
         }
         out
     }
@@ -166,26 +134,7 @@ pub fn inventory(files: &[FileIndex]) -> HotInventory {
             via: graph.render_hot_path((fi, gi), &reach),
         });
     }
-    let mut spans = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for span in file.span_uses.iter().filter(|s| !s.is_test) {
-            let Some(gi) = span.fn_index else { continue };
-            let id: FnId = (fi, gi);
-            let closure = graph.reachable_from(id);
-            if !closure.iter().any(|t| reach.contains_key(t)) {
-                continue;
-            }
-            let static_alloc_sites =
-                closure.iter().map(|&(cf, cg)| files[cf].fns[cg].alloc_sites.len()).sum();
-            spans.push(HotSpanRecord {
-                name: span.name.clone(),
-                path: file.path.clone(),
-                line: span.line,
-                static_alloc_sites,
-            });
-        }
-    }
-    HotInventory { fns, spans }
+    HotInventory { fns }
 }
 
 #[cfg(test)]
@@ -266,7 +215,7 @@ mod tests {\n\
     }
 
     #[test]
-    fn inventory_lists_roots_reached_fns_and_spans() {
+    fn inventory_lists_roots_and_reached_fns() {
         let files = vec![index_file(
             "crates/graph/src/x.rs",
             "\
@@ -287,12 +236,9 @@ pub fn unrelated() {}\n",
         assert_eq!(inv.fns[0].name, "kernel_fn");
         assert_eq!(inv.fns[0].alloc_sites, 1);
         assert!(inv.fns[0].root_reason.is_some());
-        assert_eq!(inv.spans.len(), 1);
-        assert_eq!(inv.spans[0].name, "GraphKnn");
-        assert_eq!(inv.spans[0].static_alloc_sites, 1);
         let text = inv.render();
         assert!(
-            text.contains("# hot-path inventory: 1 roots, 1 functions, 1 alloc sites, 1 spans"),
+            text.contains("# hot-path inventory: 1 roots, 1 functions, 1 alloc sites\n"),
             "{text}"
         );
         assert!(
@@ -301,9 +247,7 @@ pub fn unrelated() {}\n",
             ),
             "{text}"
         );
-        assert!(
-            text.contains("span GraphKnn crates/graph/src/x.rs:2 static_alloc_sites=1"),
-            "{text}"
-        );
+        // the span minted by the (cold) caller gets no line of its own
+        assert_eq!(text.lines().count(), 2, "{text}");
     }
 }

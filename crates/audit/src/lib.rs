@@ -43,8 +43,7 @@ pub struct Report {
     /// Files scanned.
     pub files_scanned: usize,
     /// The hot-path inventory (`--hot-report`): hot-reachable functions
-    /// with their static alloc-site counts, plus the span mapping the
-    /// perfsuite reconciliation consumes.
+    /// with their static alloc-site counts.
     pub hot: hot::HotInventory,
 }
 

@@ -2,13 +2,12 @@
 //!
 //! The token-pattern rules in [`crate::rules`] see one token at a time;
 //! the cross-file rules in [`crate::xrules`] need *structure*: which
-//! functions exist, what they call, which parallel merges touch floats,
-//! and which span names the file mints. This module parses the token
-//! stream (plus the captured comments) into a [`FileIndex`] — a
-//! deliberately shallow item model: function items with body extents,
-//! call-expression edges by callee name, allocation and index-arithmetic
-//! sites with their contracts, parallel `reduce`/`sum` sites with their
-//! `// det:` annotations, and span names.
+//! functions exist, what they call, and which parallel merges touch
+//! floats. This module parses the token stream (plus the captured
+//! comments) into a [`FileIndex`] — a deliberately shallow item model:
+//! function items with body extents, call-expression edges by callee
+//! name, allocation and index-arithmetic sites with their contracts,
+//! and parallel `reduce`/`sum` sites with their `// det:` annotations.
 //! [`crate::symgraph`] links the per-file indexes into the workspace
 //! symbol graph.
 //!
@@ -137,22 +136,6 @@ pub struct DetSite {
     pub is_test: bool,
 }
 
-/// One span minted by the file.
-#[derive(Clone, Debug)]
-pub struct SpanUse {
-    /// The `SpanName` variant identifier (`GraphKnn` for
-    /// `span(SpanName::GraphKnn)`).
-    pub name: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Whether the site sits inside a `#[cfg(test)]` region.
-    pub is_test: bool,
-    /// Index (into [`FileIndex::fns`]) of the innermost function whose
-    /// body mints the span, if any — the anchor for the static↔runtime
-    /// allocation reconciliation in the hot report.
-    pub fn_index: Option<usize>,
-}
-
 /// Everything pass 1 extracts from one file.
 #[derive(Clone, Debug)]
 pub struct FileIndex {
@@ -164,8 +147,6 @@ pub struct FileIndex {
     pub fns: Vec<FnItem>,
     /// Parallel merge sites, in source order.
     pub det_sites: Vec<DetSite>,
-    /// Span names, in source order.
-    pub span_uses: Vec<SpanUse>,
 }
 
 /// Parse one file into its [`FileIndex`]. `path` decides rule scopes
@@ -181,15 +162,8 @@ pub fn index_file(path: &str, source: &str) -> FileIndex {
     let bodies = body_spans(tokens);
     attribute_bodies(tokens, comments, &bodies, &mut fns);
     let det_sites = collect_det(tokens, comments, &in_test);
-    let span_uses = collect_spans(tokens, &bodies, &in_test);
 
-    FileIndex {
-        path: path.to_string(),
-        scope: FileScope::from_path(path),
-        fns,
-        det_sites,
-        span_uses,
-    }
+    FileIndex { path: path.to_string(), scope: FileScope::from_path(path), fns, det_sites }
 }
 
 fn is_keyword_call(name: &str) -> bool {
@@ -546,38 +520,6 @@ fn scan_statement_back(tokens: &[Token], from: usize) -> (usize, bool) {
     (first_line, parallel)
 }
 
-/// Fourth sweep: `span(SpanName::X)` and `synthetic(SpanName::X, …)`
-/// sites, each attributed to the innermost enclosing function for the
-/// hot report's span section. Any other argument (a `SpanName`
-/// parameter) is out of static reach.
-fn collect_spans(
-    tokens: &[Token],
-    bodies: &[std::ops::Range<usize>],
-    in_test: &dyn Fn(usize) -> bool,
-) -> Vec<SpanUse> {
-    let mut out = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        if !(tok.is_ident("span") || tok.is_ident("synthetic")) {
-            continue;
-        }
-        let at = |k: usize| tokens.get(i + k);
-        let variant = at(4).and_then(Token::ident).filter(|_| {
-            at(1).is_some_and(|t| t.is_punct('('))
-                && at(2).is_some_and(|t| t.is_ident("SpanName"))
-                && at(3).is_some_and(|t| t.is_op("::"))
-                && at(5).is_some_and(|t| t.is_punct(')') || t.is_punct(','))
-        });
-        let Some(variant) = variant else { continue };
-        out.push(SpanUse {
-            name: variant.to_string(),
-            line: tok.line,
-            is_test: in_test(i),
-            fn_index: innermost(bodies, i),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,30 +594,5 @@ fn grad(data: &[u32]) -> u32 {\n\
         assert_eq!(ix.det_sites.len(), 1);
         assert!(ix.det_sites[0].parallel);
         assert_eq!(ix.det_sites[0].line, 9);
-    }
-
-    #[test]
-    fn span_collection_takes_span_name_variants_only() {
-        let src = "\
-fn f(name: SpanName) {\n\
-    let _s = span(SpanName::GraphKnn);\n\
-    let _r = SpanRecord::synthetic(SpanName::TestDecode, 1.0);\n\
-    let _d = span(name);\n\
-    let _a = span(SpanName::ALL[0]);\n\
-}\n\
-#[cfg(test)]\n\
-mod tests {\n\
-    fn t() { span(SpanName::CrfTrain); }\n\
-}\n";
-        let ix = idx(src);
-        // parameters and non-variant expressions are excluded;
-        // test-region spans are flagged as such
-        let names: Vec<(&str, usize, bool)> =
-            ix.span_uses.iter().map(|s| (s.name.as_str(), s.line, s.is_test)).collect();
-        assert_eq!(
-            names,
-            vec![("GraphKnn", 2, false), ("TestDecode", 3, false), ("CrfTrain", 9, true)]
-        );
-        assert!(ix.span_uses[..2].iter().all(|s| s.fn_index == Some(0)));
     }
 }

@@ -1,5 +1,5 @@
 //! The workspace symbol graph: pass-1 [`FileIndex`]es linked into one
-//! call graph, plus the hot-path reachability walks over it.
+//! call graph, plus the hot-path reachability walk over it.
 //!
 //! Linking is deliberately conservative: a call edge resolves only
 //! when the callee name is **unique** across all indexed library
@@ -8,7 +8,7 @@
 //! reachability, never fabricate a finding, which is the right failure
 //! direction for a gating rule.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::symbols::FileIndex;
 
@@ -135,28 +135,6 @@ impl<'a> SymbolGraph<'a> {
             }
         }
         reach
-    }
-
-    /// Every function reachable from `start` (inclusive) over resolved
-    /// call edges — the static closure a span minted in `start` can
-    /// execute under.
-    pub fn reachable_from(&self, start: FnId) -> BTreeSet<FnId> {
-        let mut seen: BTreeSet<FnId> = BTreeSet::new();
-        let mut stack = vec![start];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            let (fi, gi) = id;
-            for call in &self.files[fi].fns[gi].calls {
-                if let Some(target) = self.resolve(&call.name) {
-                    if !seen.contains(&target) {
-                        stack.push(target);
-                    }
-                }
-            }
-        }
-        seen
     }
 
     /// Render the call chain from a hot root down to `id`, e.g.

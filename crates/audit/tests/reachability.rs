@@ -127,7 +127,7 @@ fn leaf_fn(x: u64) -> u64 { x }
 
     let rendered = graphner_audit::hot::inventory(&files).render();
     let expected = "\
-# hot-path inventory: 1 roots, 3 functions, 0 alloc sites, 0 spans
+# hot-path inventory: 1 roots, 3 functions, 0 alloc sites
 root crates/graph/src/chain.rs:2 root_fn alloc_sites=0 — chain root for the snapshot
 fn crates/graph/src/chain.rs:3 mid_fn alloc_sites=0 via root_fn -> mid_fn
 fn crates/graph/src/chain.rs:4 leaf_fn alloc_sites=0 via root_fn -> mid_fn -> leaf_fn

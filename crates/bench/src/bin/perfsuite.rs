@@ -1,12 +1,15 @@
 //! perfsuite — the perf-trajectory benchmark behind `BENCH_pipeline.json`.
 //!
-//! Times a fixed matrix of pipeline stages on the BC2GM profile:
+//! Times the real TEST procedure, `GraphNer::test`, on the BC2GM
+//! profile and reads its cost breakdown from the pipeline's own spans:
 //!
-//! * `perf.pmi_build` — PMI vertex-vector construction,
-//! * `perf.knn_build` — cosine k-NN graph connection,
-//! * `perf.propagate` — sharded Jacobi propagation sweeps (partition
-//!   prebuilt, as the pipeline caches it),
-//! * `perf.viterbi_decode` — belief interpolation + Viterbi decode,
+//! * `perf.test` — the whole call, with its RSS and pool-counter deltas,
+//! * one row per span the call records — `test.posteriors`,
+//!   `test.graph` (with its nested `graph.vectors`, `graph.pmi` and
+//!   `graph.knn`), `test.average`, `test.propagate` and `test.decode` —
+//!   holding the span's median wall time and heap peak
+//!   ([`perf::span_stages`]),
+//! * `perf.unattributed` — `perf.test` minus the top-level spans,
 //! * `perf.tag_batch_t1` / `perf.tag_batch_t4` — serving-path batch
 //!   throughput at 1 and 4 worker threads (measured in re-exec'd
 //!   subprocesses, because the pool reads `GRAPHNER_THREADS` once),
@@ -15,19 +18,12 @@
 //!   ([`graphner_bench::synth`]) at 1 and 4 worker threads, also via
 //!   subprocess re-exec.
 //!
-//! Each stage reports median-of-N wall-clock seconds, peak heap (with
-//! the `obs-alloc` feature), peak RSS advance (`VmHWM`), and the pool
-//! counters it moved. `--out` writes the schema-versioned report
-//! (default `BENCH_pipeline.json`); `--check <baseline>` exits 1 when
-//! any stage regresses more than 15% against the baseline. See
-//! DESIGN.md §11.
-//!
-//! `--hot-report <path>` reconciles the audit's static hot-path
-//! inventory against runtime allocator data: any span the report claims
-//! has zero static allocation sites but whose measured `mem.net_bytes`
-//! exceeds [`perf::HIDDEN_ALLOC_THRESHOLD_BYTES`] fails the run — a
-//! hidden (vendored/closure) allocation the lexical rules cannot see.
-//! See DESIGN.md §14.
+//! Each row reports median-of-N wall-clock seconds and peak heap (with
+//! the `obs-alloc` feature); the whole-call and subprocess rows also
+//! report the peak RSS advance (`VmHWM`) and the pool counters they
+//! moved. `--out` writes the schema-versioned report (default
+//! `BENCH_pipeline.json`); `--check <baseline>` exits 1 when any stage
+//! runs slower than its baseline × 1.15 + 25 ms. See DESIGN.md §11.
 
 #![allow(
     clippy::unwrap_used,
@@ -41,12 +37,11 @@
 use graphner_bench::perf::{self, BenchReport, StageResult, DEFAULT_TOLERANCE, SCHEMA_VERSION};
 use graphner_bench::synth::synthetic_propagation;
 use graphner_bench::RunOptions;
-use graphner_core::pipeline::{AverageStage, DecodeStage, GraphStage, PosteriorStage};
 use graphner_core::{GraphNer, GraphNerConfig, TestSession};
 use graphner_corpusgen::{generate, CorpusProfile};
 use graphner_graph::{propagate_partitioned, Partition, ShardSize};
-use graphner_obs::{span, SpanName, Stopwatch};
-use graphner_text::{Corpus, TrigramInterner};
+use graphner_obs::Stopwatch;
+use graphner_text::Corpus;
 
 /// Vertex count of the synthetic graph behind the
 /// `perf.propagate_sharded_t*` stages — big enough that shard handoff
@@ -66,7 +61,6 @@ struct Args {
     out: String,
     check: Option<String>,
     trace_out: Option<String>,
-    hot_report: Option<String>,
     tag_batch_worker: bool,
     propagate_worker: bool,
 }
@@ -78,7 +72,6 @@ fn parse_args() -> Args {
         out: "BENCH_pipeline.json".to_string(),
         check: None,
         trace_out: None,
-        hot_report: None,
         tag_batch_worker: false,
         propagate_worker: false,
     };
@@ -106,10 +99,6 @@ fn parse_args() -> Args {
                 i += 1;
                 parsed.trace_out = Some(args.get(i).expect("--trace-out needs a path").clone());
             }
-            "--hot-report" => {
-                i += 1;
-                parsed.hot_report = Some(args.get(i).expect("--hot-report needs a path").clone());
-            }
             "--tag-batch-worker" => parsed.tag_batch_worker = true,
             "--propagate-worker" => parsed.propagate_worker = true,
             other => {
@@ -124,13 +113,14 @@ fn parse_args() -> Args {
 
 /// One stage's raw measurements before naming.
 struct Measured {
-    median_seconds: f64,
+    /// Wall seconds of each iteration, in run order.
+    seconds: Vec<f64>,
     peak_alloc_bytes: u64,
     peak_rss_bytes: u64,
     pool: rayon::PoolStats,
 }
 
-/// Run `f` `iters` times: median wall-clock, max peak-heap and
+/// Run `f` `iters` times: wall-clock of each run, max peak-heap and
 /// peak-RSS advance over any iteration, pool-counter delta of the last.
 fn measure(iters: usize, mut f: impl FnMut()) -> Measured {
     assert!(iters > 0);
@@ -155,14 +145,13 @@ fn measure(iters: usize, mut f: impl FnMut()) -> Measured {
             peak_alloc_bytes.max(graphner_obs::alloc::peak_bytes().saturating_sub(live));
         peak_rss_bytes = peak_rss_bytes.max(perf::peak_rss_bytes().saturating_sub(rss_floor));
     }
-    secs.sort_by(f64::total_cmp);
-    Measured { median_seconds: secs[secs.len() / 2], peak_alloc_bytes, peak_rss_bytes, pool }
+    Measured { seconds: secs, peak_alloc_bytes, peak_rss_bytes, pool }
 }
 
 fn stage_result(name: &str, m: &Measured) -> StageResult {
     StageResult {
         name: name.to_string(),
-        median_seconds: m.median_seconds,
+        median_seconds: perf::median(&m.seconds),
         peak_alloc_bytes: m.peak_alloc_bytes,
         peak_rss_bytes: m.peak_rss_bytes,
         pool_threads: m.pool.threads as u64,
@@ -188,7 +177,7 @@ fn print_worker_line(m: &Measured) {
     println!(
         "perfsuite-worker median_seconds={} peak_alloc_bytes={} peak_rss_bytes={} \
          pool_threads={} pool_jobs={} pool_chunks={} pool_chunks_on_workers={}",
-        m.median_seconds,
+        perf::median(&m.seconds),
         m.peak_alloc_bytes,
         m.peak_rss_bytes,
         m.pool.threads,
@@ -222,7 +211,6 @@ fn run_propagate_worker(iters: usize) {
     };
     let mut x = w.x0.clone();
     let m = measure(iters, || {
-        let _s = span(SpanName::PerfPropagateSharded);
         x.copy_from_slice(&w.x0);
         std::hint::black_box(propagate_partitioned(
             &w.graph, &partition, &mut x, &w.x_ref, &params, false,
@@ -290,67 +278,17 @@ fn main() {
         if graphner_obs::alloc::enabled() { "on" } else { "off (build with --features obs-alloc)" }
     );
     let (gner, test) = setup(args.scale);
-    let cfg = gner.config().clone();
-    let posteriors = PosteriorStage::run(&gner, &test);
 
-    let mut stages: Vec<StageResult> = Vec::new();
-
-    // pmi_build: fresh interner per iteration, since interning is part
-    // of the measured work; the last build feeds the later stages
-    let mut interner = TrigramInterner::new();
-    let mut vectors = Vec::new();
+    // the measured call runs outside any span, so the stage spans it
+    // records are the top-level ones perf::span_stages subtracts
+    let mut captures = Vec::with_capacity(args.iters);
     let m = measure(args.iters, || {
-        let _s = span(SpanName::PerfPmiBuild);
-        let mut it = TrigramInterner::new();
-        vectors = GraphStage::vectors(&gner, &mut it, &test, cfg.feature_set);
-        interner = it;
+        let (out, spans) = graphner_obs::with_capture(|| gner.test(&test));
+        std::hint::black_box(out);
+        captures.push(spans);
     });
-    stages.push(stage_result("perf.pmi_build", &m));
-
-    let mut graph = GraphStage::connect(&vectors, cfg.k);
-    let m = measure(args.iters, || {
-        let _s = span(SpanName::PerfKnnBuild);
-        graph = GraphStage::connect(&vectors, cfg.k);
-    });
-    stages.push(stage_result("perf.knn_build", &m));
-
-    // propagation inputs: averaged beliefs, with the model's labelled
-    // vertex count anchoring the reference slice
-    let x0 = AverageStage::run(&gner, &test, &posteriors, &interner);
-    let labelled = gner.num_labelled_vertices().min(x0.len());
-    let x_ref: Vec<Option<graphner_graph::LabelDist>> =
-        (0..x0.len()).map(|i| (i < labelled).then(|| x0[i])).collect();
-    // the pipeline caches its partition across runs, so prebuild it
-    // here too and time only the sweeps
-    let partition = Partition::new(&graph, cfg.schedule.shard_size);
-    let mut x = x0.clone();
-    let m = measure(args.iters, || {
-        let _s = span(SpanName::PerfPropagate);
-        x = x0.clone();
-        propagate_partitioned(
-            &graph,
-            &partition,
-            &mut x,
-            &x_ref,
-            &cfg.propagation,
-            cfg.schedule.active_set,
-        );
-    });
-    stages.push(stage_result("perf.propagate", &m));
-
-    let transitions = gner.transitions();
-    let m = measure(args.iters, || {
-        let _s = span(SpanName::PerfViterbiDecode);
-        std::hint::black_box(DecodeStage::run(
-            &test,
-            posteriors.test(),
-            &interner,
-            &x,
-            cfg.alpha,
-            &transitions,
-        ));
-    });
-    stages.push(stage_result("perf.viterbi_decode", &m));
+    let mut stages = vec![stage_result("perf.test", &m)];
+    stages.extend(perf::span_stages(&captures, &m.seconds));
 
     for threads in [1usize, 4] {
         stages.push(worker_subprocess(
@@ -397,53 +335,11 @@ fn main() {
     std::fs::write(&args.out, report.to_json()).expect("write report");
     eprintln!("perfsuite: report written to {}", args.out);
 
-    // one drain serves both consumers: the trace export and the
-    // static↔runtime allocation reconciliation
-    let spans = if args.trace_out.is_some() || args.hot_report.is_some() {
-        graphner_obs::span::drain()
-    } else {
-        Vec::new()
-    };
-
     if let Some(path) = &args.trace_out {
+        let spans = graphner_obs::span::drain();
         let json = graphner_obs::chrome_trace_json(&spans, graphner_obs::TraceClock::from_env());
         std::fs::write(path, json).expect("write --trace-out file");
         eprintln!("perfsuite: trace ({} spans) written to {path}", spans.len());
-    }
-
-    if let Some(path) = &args.hot_report {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perfsuite: cannot read hot report {path}: {e}");
-            std::process::exit(2);
-        });
-        let statics = perf::parse_hot_report(&text).unwrap_or_else(|e| {
-            eprintln!("perfsuite: hot report {path} unreadable: {e}");
-            std::process::exit(2);
-        });
-        let rec = perf::reconcile_hot_spans(&statics, &spans, perf::HIDDEN_ALLOC_THRESHOLD_BYTES);
-        if rec.hidden.is_empty() {
-            eprintln!(
-                "perfsuite: hot-span reconciliation OK ({} of {} static span(s) checked: zero \
-                 static alloc sites and measured mem.net_bytes in {} span record(s), threshold \
-                 {} bytes)",
-                rec.checked,
-                statics.len(),
-                spans.len(),
-                perf::HIDDEN_ALLOC_THRESHOLD_BYTES
-            );
-        } else {
-            eprintln!("perfsuite: {} hidden allocation(s):", rec.hidden.len());
-            for h in &rec.hidden {
-                eprintln!(
-                    "  span {} ({}): 0 static alloc sites but {} net bytes measured — \
-                     hidden allocation (vendored/closure) — annotate or hoist",
-                    h.span.as_str(),
-                    h.site,
-                    h.net_bytes
-                );
-            }
-            std::process::exit(1);
-        }
     }
 
     if let Some(path) = &args.check {

@@ -1,6 +1,7 @@
 //! The perf-trajectory report behind `BENCH_pipeline.json`.
 //!
-//! The `perfsuite` binary times a fixed matrix of pipeline stages and
+//! The `perfsuite` binary times `GraphNer::test`, folds the stage spans
+//! it records into rows ([`span_stages`]), adds the subprocess rows, and
 //! serializes a [`BenchReport`] — schema-versioned so a reader can
 //! refuse files it does not understand — to the repo root. CI re-runs
 //! the suite and [`compare`]s the fresh numbers against the committed
@@ -13,7 +14,7 @@
 //! writer emits a strict subset of JSON so any external tool can read
 //! the trajectory too.
 
-use graphner_obs::SpanName;
+use graphner_obs::{AttrValue, SpanRecord};
 use std::fmt::Write as _;
 
 /// Version stamp of the report layout. Bump on any field change;
@@ -35,7 +36,7 @@ pub const ABSOLUTE_SLACK_SECONDS: f64 = 0.025;
 /// One timed stage of the matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageResult {
-    /// Stage name (`area.verb`, e.g. `perf.pmi_build`).
+    /// Stage name (`area.verb`, e.g. `test.graph` or `perf.test`).
     pub name: String,
     /// Median wall-clock seconds over the suite's iterations.
     pub median_seconds: f64,
@@ -63,7 +64,7 @@ pub struct BenchReport {
     pub scale: f64,
     /// Iterations per stage (medians are over this many runs).
     pub iters: u64,
-    /// The stage matrix, in execution order.
+    /// The stage rows, in execution order.
     pub stages: Vec<StageResult>,
 }
 
@@ -181,125 +182,78 @@ impl BenchReport {
     }
 }
 
-/// Net heap growth (bytes) a hot span may show at runtime before a
-/// zero-static-alloc-site claim stops being believable. Small enough to
-/// catch a per-item allocation loop, large enough to absorb allocator
-/// bookkeeping and the span record itself.
-pub const HIDDEN_ALLOC_THRESHOLD_BYTES: i64 = 4096;
+/// Name of the row holding the measured call's wall time outside every
+/// top-level span.
+pub const UNATTRIBUTED_STAGE: &str = "perf.unattributed";
 
-/// One `span` line of the audit `--hot-report`: the statically visible
-/// allocation-site count for a span whose extent enters the hot set.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HotSpanStatic {
-    /// The span's name.
-    pub name: SpanName,
-    /// Workspace-relative path of the minting site.
-    pub path: String,
-    /// 1-based line of the minting site.
-    pub line: usize,
-    /// Allocation call sites visible from the minting function over
-    /// resolved call edges.
-    pub static_alloc_sites: u64,
+/// Upper median of `xs` (0 when empty).
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.get(sorted.len() / 2).copied().unwrap_or(0.0)
 }
 
-/// Parse the `span` section of an audit `--hot-report` file. The line
-/// grammar is owned by `graphner-audit::hot` (kept stable for this
-/// consumer): `span <variant> <path>:<line> static_alloc_sites=<k>`,
-/// where `<variant>` is a [`SpanName`] variant identifier as written at
-/// the minting site. Comment (`#`), `root` and `fn` lines are skipped.
-/// A malformed `span` line, or one naming no [`SpanName`] variant, is an
-/// error: silently dropping it would un-gate its span.
-pub fn parse_hot_report(text: &str) -> Result<Vec<HotSpanStatic>, String> {
-    let mut spans = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        let Some(rest) = line.strip_prefix("span ") else {
-            continue;
-        };
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        let err = || format!("hot-report:{line_no}: malformed span line `{line}`");
-        let [variant, site, count] = fields.as_slice() else {
-            return Err(err());
-        };
-        // a fieldless variant's derived Debug output is its identifier
-        let name =
-            SpanName::ALL.into_iter().find(|n| format!("{n:?}") == *variant).ok_or_else(|| {
-                format!("hot-report:{line_no}: `{variant}` is not a SpanName variant")
-            })?;
-        let (path, site_line) = site.rsplit_once(':').ok_or_else(err)?;
-        let static_alloc_sites =
-            count.strip_prefix("static_alloc_sites=").and_then(|v| v.parse().ok());
-        spans.push(HotSpanStatic {
-            name,
-            path: path.to_string(),
-            line: site_line.parse().map_err(|_| err())?,
-            static_alloc_sites: static_alloc_sites.ok_or_else(err)?,
-        });
-    }
-    Ok(spans)
-}
-
-/// A span the static analysis cleared that allocated anyway.
-#[derive(Clone, Debug)]
-pub struct HiddenAllocation {
-    /// Span name.
-    pub span: SpanName,
-    /// Minting site from the hot report, for the error message.
-    pub site: String,
-    /// Worst `mem.net_bytes` observed across the span's executions.
-    pub net_bytes: i64,
-}
-
-/// Outcome of [`reconcile_hot_spans`].
-#[derive(Clone, Debug, Default)]
-pub struct Reconciliation {
-    /// Static spans the check actually applied to: zero static
-    /// allocation sites, and at least one measured record carrying
-    /// `mem.net_bytes`.
-    pub checked: usize,
-    /// The checked spans that allocated above threshold anyway.
-    pub hidden: Vec<HiddenAllocation>,
-}
-
-/// Cross-reference the audit's static per-span allocation counts
-/// against measured span records: a hot span claiming **zero** static
-/// allocation sites whose worst observed `mem.net_bytes` still exceeds
-/// `threshold_bytes` is a hidden allocation — something the lexical
-/// rules cannot see (vendored code, a closure the resolver dropped) is
-/// allocating on the hot path. Spans with static sites, spans without
-/// the attribute (built without `obs-alloc`) and spans that never ran
-/// are not checked, and [`Reconciliation::checked`] does not count them.
-pub fn reconcile_hot_spans(
-    statics: &[HotSpanStatic],
-    measured: &[graphner_obs::SpanRecord],
-    threshold_bytes: i64,
-) -> Reconciliation {
-    let mut out = Reconciliation::default();
-    for s in statics {
-        if s.static_alloc_sites > 0 {
-            continue;
-        }
-        let worst = measured
-            .iter()
-            .filter(|r| r.name == s.name.as_str())
-            .filter_map(|r| match r.attr("mem.net_bytes") {
-                Some(&graphner_obs::AttrValue::I64(v)) => Some(v),
-                _ => None,
-            })
-            .max();
-        if let Some(net_bytes) = worst {
-            out.checked += 1;
-            if net_bytes > threshold_bytes {
-                out.hidden.push(HiddenAllocation {
-                    span: s.name,
-                    site: format!("{}:{}", s.path, s.line),
-                    net_bytes,
-                });
-            }
+/// Fold the spans one measured call recorded on each iteration into
+/// stage rows: one row per span name, in order of first entry, then
+/// [`UNATTRIBUTED_STAGE`].
+///
+/// `captures[i]` holds the spans iteration `i` completed on the
+/// measuring thread, opened outside any span, and `totals[i]` its wall
+/// seconds. A name's row holds the median over iterations of its summed
+/// seconds in each (a stage run twice in one call counts twice, an
+/// absent one 0) and the largest `mem.peak_bytes` any of its records
+/// carries. The unattributed row is the median of each total minus its
+/// depth-0 spans, so nested spans (`graph.*` under `test.graph`) get
+/// rows of their own without being subtracted twice. Spans carry no RSS
+/// or pool counters, so those fields stay zero; the caller's row for
+/// the whole call holds them.
+pub fn span_stages(captures: &[Vec<SpanRecord>], totals: &[f64]) -> Vec<StageResult> {
+    assert_eq!(captures.len(), totals.len(), "one capture per timed iteration");
+    let mut by_entry: Vec<&SpanRecord> = captures.iter().flatten().collect();
+    by_entry.sort_by_key(|r| r.enter_seq);
+    let mut names: Vec<&'static str> = Vec::new();
+    for r in by_entry {
+        if !names.contains(&r.name) {
+            names.push(r.name);
         }
     }
-    out
+    let row = |name: &str, median_seconds: f64, peak_alloc_bytes: u64| StageResult {
+        name: name.to_string(),
+        median_seconds,
+        peak_alloc_bytes,
+        peak_rss_bytes: 0,
+        pool_threads: 0,
+        pool_jobs: 0,
+        pool_chunks: 0,
+        pool_chunks_on_workers: 0,
+    };
+    let summed = |spans: &[SpanRecord], keep: &dyn Fn(&SpanRecord) -> bool| -> f64 {
+        spans.iter().filter(|r| keep(r)).map(|r| r.seconds).sum()
+    };
+    let mut rows: Vec<StageResult> = names
+        .iter()
+        .map(|&name| {
+            let seconds: Vec<f64> =
+                captures.iter().map(|spans| summed(spans, &|r| r.name == name)).collect();
+            let peak = captures
+                .iter()
+                .flatten()
+                .filter(|r| r.name == name)
+                .filter_map(|r| match r.attr("mem.peak_bytes") {
+                    Some(&AttrValue::U64(bytes)) => Some(bytes),
+                    _ => None,
+                })
+                .max();
+            row(name, median(&seconds), peak.unwrap_or(0))
+        })
+        .collect();
+    let unattributed: Vec<f64> = captures
+        .iter()
+        .zip(totals)
+        .map(|(spans, total)| total - summed(spans, &|r| r.depth == 0))
+        .collect();
+    rows.push(row(UNATTRIBUTED_STAGE, median(&unattributed), 0));
+    rows
 }
 
 /// Peak resident set (`VmHWM`) of this process in bytes, from
@@ -537,6 +491,7 @@ mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphner_obs::SpanName;
 
     fn stage(name: &str, seconds: f64) -> StageResult {
         StageResult {
@@ -557,14 +512,14 @@ mod tests {
 
     #[test]
     fn json_round_trips_exactly() {
-        let original = report(vec![stage("perf.pmi_build", 1.25), stage("perf.knn_build", 0.5)]);
+        let original = report(vec![stage("test.graph", 1.25), stage("graph.knn", 0.5)]);
         let parsed = BenchReport::parse(&original.to_json()).unwrap();
         assert_eq!(parsed, original);
     }
 
     #[test]
     fn parse_rejects_other_schema_versions() {
-        let mut wrong = report(vec![stage("perf.propagate", 1.0)]);
+        let mut wrong = report(vec![stage("test.propagate", 1.0)]);
         wrong.schema_version = SCHEMA_VERSION + 1;
         let err = BenchReport::parse(&wrong.to_json()).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
@@ -579,20 +534,20 @@ mod tests {
 
     #[test]
     fn synthetic_fifteen_percent_slowdown_trips_the_gate() {
-        // use second-scale medians so the 5ms absolute slack is
+        // use second-scale medians so the 25ms absolute slack is
         // negligible and the 15% fraction is what decides
-        let baseline = report(vec![stage("perf.pmi_build", 2.0), stage("perf.propagate", 1.0)]);
+        let baseline = report(vec![stage("test.graph", 2.0), stage("test.propagate", 1.0)]);
         let mut slower = baseline.clone();
         slower.stages[1].median_seconds = 1.20; // +20%
         let regressions = compare(&baseline, &slower, DEFAULT_TOLERANCE);
         assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].stage, "perf.propagate");
+        assert_eq!(regressions[0].stage, "test.propagate");
         assert!(regressions[0].ratio() > 1.15);
     }
 
     #[test]
     fn slowdown_within_tolerance_passes() {
-        let baseline = report(vec![stage("perf.pmi_build", 2.0)]);
+        let baseline = report(vec![stage("test.graph", 2.0)]);
         let mut slightly = baseline.clone();
         slightly.stages[0].median_seconds = 2.2; // +10%
         assert!(compare(&baseline, &slightly, DEFAULT_TOLERANCE).is_empty());
@@ -602,7 +557,7 @@ mod tests {
     fn absolute_slack_protects_near_instant_stages() {
         // 5ms -> 20ms is 4x but under the absolute slack: scheduling
         // noise, not a regression the gate should wake anyone up for…
-        let baseline = report(vec![stage("perf.viterbi_decode", 0.005)]);
+        let baseline = report(vec![stage("test.decode", 0.005)]);
         let mut jittery = baseline.clone();
         jittery.stages[0].median_seconds = 0.020;
         assert!(compare(&baseline, &jittery, DEFAULT_TOLERANCE).is_empty());
@@ -614,18 +569,18 @@ mod tests {
 
     #[test]
     fn missing_stage_is_a_regression() {
-        let baseline = report(vec![stage("perf.pmi_build", 1.0), stage("perf.knn_build", 1.0)]);
-        let fresh = report(vec![stage("perf.pmi_build", 1.0)]);
+        let baseline = report(vec![stage("test.graph", 1.0), stage("graph.knn", 1.0)]);
+        let fresh = report(vec![stage("test.graph", 1.0)]);
         let regressions = compare(&baseline, &fresh, DEFAULT_TOLERANCE);
         assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].stage, "perf.knn_build");
+        assert_eq!(regressions[0].stage, "graph.knn");
         assert!(regressions[0].fresh_seconds.is_infinite());
     }
 
     #[test]
     fn new_stages_in_fresh_pass_without_a_baseline() {
-        let baseline = report(vec![stage("perf.pmi_build", 1.0)]);
-        let fresh = report(vec![stage("perf.pmi_build", 1.0), stage("perf.tag_batch_t4", 0.5)]);
+        let baseline = report(vec![stage("test.graph", 1.0)]);
+        let fresh = report(vec![stage("test.graph", 1.0), stage("perf.tag_batch_t4", 0.5)]);
         assert!(compare(&baseline, &fresh, DEFAULT_TOLERANCE).is_empty());
     }
 
@@ -636,121 +591,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hot_report_span_lines_parse_and_other_lines_skip() {
-        let text = "\
-# hot-path inventory: 1 roots, 2 functions, 3 alloc sites, 2 spans
-root crates/graph/src/propagate.rs:100 jacobi_update alloc_sites=0 — per-vertex kernel
-fn crates/graph/src/knn.rs:50 top_k alloc_sites=3 via jacobi_update -> top_k
-span PerfPropagate crates/bench/src/bin/perfsuite.rs:306 static_alloc_sites=0
-span ServeTagBatch crates/core/src/pipeline.rs:530 static_alloc_sites=7
-";
-        let spans = parse_hot_report(text).unwrap();
-        assert_eq!(
-            spans,
-            vec![
-                HotSpanStatic {
-                    name: SpanName::PerfPropagate,
-                    path: "crates/bench/src/bin/perfsuite.rs".to_string(),
-                    line: 306,
-                    static_alloc_sites: 0,
-                },
-                HotSpanStatic {
-                    name: SpanName::ServeTagBatch,
-                    path: "crates/core/src/pipeline.rs".to_string(),
-                    line: 530,
-                    static_alloc_sites: 7,
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn hot_report_rejects_malformed_span_lines() {
-        for bad in [
-            "span only_two_fields a.rs:1",
-            "span GraphKnn a.rs:notaline static_alloc_sites=0",
-            "span GraphKnn noline static_alloc_sites=0",
-            "span GraphKnn a.rs:1 static_alloc_sites=x",
-            "span GraphKnn a.rs:1 wrongkey=3",
-        ] {
-            let err = parse_hot_report(bad).unwrap_err();
-            assert!(err.contains("hot-report:1"), "{bad} -> {err}");
-        }
-    }
-
-    #[test]
-    fn hot_report_rejects_names_that_are_not_span_name_variants() {
-        // the recorded string, a renamed variant and a lower-case ident
-        // all fail instead of dropping the span out of the reconciliation
-        for bad in ["graph.knn", "GraphKnnSearch", "graphknn"] {
-            let text = format!("# header\nspan {bad} a.rs:1 static_alloc_sites=0\n");
-            let err = parse_hot_report(&text).unwrap_err();
-            assert!(err.contains("hot-report:2") && err.contains("not a SpanName"), "{err}");
-        }
-        // and every variant resolves under its identifier
-        for name in SpanName::ALL {
-            let line = format!("span {name:?} a.rs:1 static_alloc_sites=0");
-            assert_eq!(parse_hot_report(&line).unwrap()[0].name, name);
-        }
-    }
-
-    fn measured_span(name: SpanName, net_bytes: Option<i64>) -> graphner_obs::SpanRecord {
-        let mut r = graphner_obs::SpanRecord::synthetic(name, 0.1);
-        if let Some(v) = net_bytes {
-            r.attrs.push(("mem.net_bytes", graphner_obs::AttrValue::I64(v)));
+    /// A record of `name` at nesting `depth` entered at `enter_seq`,
+    /// with a `mem.peak_bytes` attr when `peak` is given.
+    fn rec(
+        name: SpanName,
+        depth: usize,
+        enter_seq: u64,
+        secs: f64,
+        peak: Option<u64>,
+    ) -> SpanRecord {
+        let mut r = SpanRecord::synthetic(name, secs);
+        r.depth = depth;
+        r.enter_seq = enter_seq;
+        if let Some(bytes) = peak {
+            r.attrs.push(("mem.peak_bytes", AttrValue::U64(bytes)));
         }
         r
     }
 
-    fn static_span(name: SpanName, sites: u64) -> HotSpanStatic {
-        HotSpanStatic {
-            name,
-            path: "crates/x/src/y.rs".to_string(),
-            line: 10,
-            static_alloc_sites: sites,
-        }
+    fn row<'a>(rows: &'a [StageResult], name: &str) -> &'a StageResult {
+        rows.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("no {name} row"))
     }
 
     #[test]
-    fn reconcile_flags_zero_static_spans_that_allocate() {
-        let statics = [static_span(SpanName::PerfPropagate, 0)];
-        let measured = [
-            measured_span(SpanName::PerfPropagate, Some(100)),
-            measured_span(SpanName::PerfPropagate, Some(HIDDEN_ALLOC_THRESHOLD_BYTES + 1)),
-        ];
-        let r = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
-        assert_eq!(r.checked, 1);
-        assert_eq!(r.hidden.len(), 1);
-        assert_eq!(r.hidden[0].span, SpanName::PerfPropagate);
-        assert_eq!(r.hidden[0].site, "crates/x/src/y.rs:10");
-        assert_eq!(r.hidden[0].net_bytes, HIDDEN_ALLOC_THRESHOLD_BYTES + 1);
+    fn span_fold_sums_repeats_keeps_nesting_and_takes_medians() {
+        use SpanName::{GraphKnn, GraphVectors, TestDecode, TestGraph, TestPosteriors};
+        // per iteration: posteriors, then a graph stage with two nested
+        // children, then decode run twice; children exit first
+        let iteration = |scale: f64, base: u64| {
+            vec![
+                rec(TestPosteriors, 0, base, 1.0 * scale, Some(10)),
+                rec(GraphVectors, 1, base + 2, 0.5 * scale, Some(70)),
+                rec(GraphKnn, 1, base + 3, 1.0 * scale, None),
+                rec(TestGraph, 0, base + 1, 2.0 * scale, Some(50)),
+                rec(TestDecode, 0, base + 4, 0.25 * scale, None),
+                rec(TestDecode, 0, base + 5, 0.25 * scale, Some(5)),
+            ]
+        };
+        let captures = vec![iteration(1.0, 0), iteration(3.0, 10), iteration(2.0, 20)];
+        // the top-level spans sum to 3.5 s per unit scale
+        let totals = [4.0, 3.5 * 3.0 + 1.5, 3.5 * 2.0 + 0.5];
+        let rows = span_stages(&captures, &totals);
+
+        let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "test.posteriors",
+                "test.graph",
+                "graph.vectors",
+                "graph.knn",
+                "test.decode",
+                UNATTRIBUTED_STAGE
+            ]
+        );
+        // medians over the three iterations (scales 1, 3, 2 -> 2)
+        assert_eq!(row(&rows, "test.posteriors").median_seconds, 2.0);
+        assert_eq!(row(&rows, "test.graph").median_seconds, 4.0);
+        assert_eq!(row(&rows, "graph.vectors").median_seconds, 1.0);
+        assert_eq!(row(&rows, "graph.knn").median_seconds, 2.0);
+        // the repeated stage adds up within an iteration
+        assert_eq!(row(&rows, "test.decode").median_seconds, 1.0);
+        // total minus the depth-0 spans only: 0.5, 1.5, 0.5 -> 0.5
+        assert_eq!(row(&rows, UNATTRIBUTED_STAGE).median_seconds, 0.5);
+        // heap peaks come from the spans' own attrs; spans carry no
+        // RSS or pool counters
+        assert_eq!(row(&rows, "graph.vectors").peak_alloc_bytes, 70);
+        assert_eq!(row(&rows, "test.decode").peak_alloc_bytes, 5);
+        assert_eq!(row(&rows, "graph.knn").peak_alloc_bytes, 0);
+        assert!(rows.iter().all(|r| r.peak_rss_bytes == 0 && r.pool_chunks == 0));
     }
 
     #[test]
-    fn reconcile_clears_spans_with_static_sites_or_small_growth() {
-        let statics = [
-            static_span(SpanName::PerfKnnBuild, 12), // sites declared: runtime allocation expected
-            static_span(SpanName::PerfPropagate, 0), // under threshold: allocator noise
-            static_span(SpanName::CrfTrain, 0),      // never ran in this process
+    fn span_fold_counts_a_stage_absent_from_an_iteration_as_zero() {
+        let captures = vec![
+            vec![rec(SpanName::TestAverage, 0, 0, 1.0, None)],
+            vec![],
+            vec![rec(SpanName::TestAverage, 0, 5, 1.0, None)],
         ];
-        let measured = [
-            measured_span(SpanName::PerfKnnBuild, Some(1 << 30)),
-            measured_span(SpanName::PerfPropagate, Some(HIDDEN_ALLOC_THRESHOLD_BYTES)),
-        ];
-        let r = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
-        // only the zero-site span that ran with alloc accounting counts
-        assert_eq!(r.checked, 1);
-        assert!(r.hidden.is_empty());
-    }
-
-    #[test]
-    fn reconcile_skips_spans_without_alloc_accounting() {
-        // no obs-alloc feature -> no mem.net_bytes attr -> nothing to gate
-        let statics = [static_span(SpanName::PerfPropagate, 0)];
-        let measured = [measured_span(SpanName::PerfPropagate, None)];
-        let r = reconcile_hot_spans(&statics, &measured, HIDDEN_ALLOC_THRESHOLD_BYTES);
-        assert_eq!(r.checked, 0);
-        assert!(r.hidden.is_empty());
+        let rows = span_stages(&captures, &[1.0, 0.25, 1.0]);
+        assert_eq!(row(&rows, "test.average").median_seconds, 1.0);
+        assert_eq!(row(&rows, UNATTRIBUTED_STAGE).median_seconds, 0.0);
+        let rows = span_stages(&captures[..2], &[1.0, 0.25]);
+        // upper median of {0, 1}
+        assert_eq!(row(&rows, "test.average").median_seconds, 1.0);
+        assert_eq!(row(&rows, UNATTRIBUTED_STAGE).median_seconds, 0.25);
     }
 }

@@ -99,21 +99,11 @@ pub enum SpanName {
     ServeBatch,
     /// CRF training.
     CrfTrain,
-    /// perfsuite stage: PMI build.
-    PerfPmiBuild,
-    /// perfsuite stage: k-NN build.
-    PerfKnnBuild,
-    /// perfsuite stage: propagation.
-    PerfPropagate,
-    /// perfsuite stage: sharded propagation.
-    PerfPropagateSharded,
-    /// perfsuite stage: Viterbi decode.
-    PerfViterbiDecode,
 }
 
 impl SpanName {
     /// Every variant, in declaration order.
-    pub const ALL: [SpanName; 18] = [
+    pub const ALL: [SpanName; 13] = [
         SpanName::TestPosteriors,
         SpanName::TestGraph,
         SpanName::TestAverage,
@@ -127,11 +117,6 @@ impl SpanName {
         SpanName::ServeRequest,
         SpanName::ServeBatch,
         SpanName::CrfTrain,
-        SpanName::PerfPmiBuild,
-        SpanName::PerfKnnBuild,
-        SpanName::PerfPropagate,
-        SpanName::PerfPropagateSharded,
-        SpanName::PerfViterbiDecode,
     ];
 
     /// The recorded name, `area.verb`-shaped.
@@ -150,11 +135,6 @@ impl SpanName {
             SpanName::ServeRequest => "serve.request",
             SpanName::ServeBatch => "serve.batch",
             SpanName::CrfTrain => "crf.train",
-            SpanName::PerfPmiBuild => "perf.pmi_build",
-            SpanName::PerfKnnBuild => "perf.knn_build",
-            SpanName::PerfPropagate => "perf.propagate",
-            SpanName::PerfPropagateSharded => "perf.propagate_sharded",
-            SpanName::PerfViterbiDecode => "perf.viterbi_decode",
         }
     }
 }
@@ -471,11 +451,6 @@ mod tests {
                 "serve.request",
                 "serve.batch",
                 "crf.train",
-                "perf.pmi_build",
-                "perf.knn_build",
-                "perf.propagate",
-                "perf.propagate_sharded",
-                "perf.viterbi_decode",
             ]
         );
         for (i, name) in names.iter().enumerate() {
@@ -540,8 +515,8 @@ mod tests {
                     }
                 }
             };
-            scope.spawn(noise(SpanName::PerfPmiBuild));
-            scope.spawn(noise(SpanName::PerfKnnBuild));
+            scope.spawn(noise(SpanName::GraphPmi));
+            scope.spawn(noise(SpanName::GraphKnn));
             let ((), spans) = with_capture(|| {
                 let _mine = span(SpanName::TestDecode);
                 let _child = span(SpanName::CrfTrain);
@@ -584,13 +559,13 @@ mod tests {
             let _outer = span(SpanName::TestPropagate);
             attr("graph.vertices", 42u64);
             {
-                let _inner = span(SpanName::PerfPropagate);
+                let _inner = span(SpanName::GraphKnn);
                 attr("propagate.sweeps", 3usize);
                 attr("propagate.residual", 0.5f64);
             }
             attr("late", "tail");
         });
-        let inner = spans.iter().find(|s| s.name == "perf.propagate").unwrap();
+        let inner = spans.iter().find(|s| s.name == "graph.knn").unwrap();
         let outer = spans.iter().find(|s| s.name == "test.propagate").unwrap();
         assert_eq!(inner.attr("propagate.sweeps"), Some(&AttrValue::U64(3)));
         assert_eq!(inner.attr("propagate.residual"), Some(&AttrValue::F64(0.5)));

@@ -23,7 +23,7 @@ fn capture_isolates_current_thread_from_rayon_workers() {
         let total: usize = data
             .par_iter()
             .map(|&i| {
-                let _worker = span(SpanName::PerfPropagate);
+                let _worker = span(SpanName::GraphPmi);
                 i
             })
             .sum();
@@ -37,7 +37,7 @@ fn capture_isolates_current_thread_from_rayon_workers() {
     // by pool workers are in the global registry but not here — that
     // current-thread filter is what `with_capture`'s docs promise.
     let stage = spans.iter().find(|s| s.name == "test.propagate").unwrap();
-    for item in spans.iter().filter(|s| s.name == "perf.propagate") {
+    for item in spans.iter().filter(|s| s.name == "graph.pmi") {
         assert_eq!(item.thread, stage.thread);
         assert!(item.enter_seq > stage.enter_seq);
         assert!(item.exit_seq < stage.exit_seq);
@@ -61,7 +61,7 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
             let total: usize = data
                 .par_iter()
                 .map(|&i| {
-                    let _worker = span(SpanName::PerfViterbiDecode);
+                    let _worker = span(SpanName::GraphKnn);
                     let watch = graphner_obs::Stopwatch::start();
                     while watch.elapsed_seconds() < 100e-6 {
                         std::hint::spin_loop();
@@ -75,7 +75,7 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
         // from unrelated concurrent tests in this binary (documented
         // price of the all-threads scope).
         let stage = all.iter().find(|s| s.name == "test.decode").expect("stage span captured");
-        let items: Vec<_> = all.iter().filter(|s| s.name == "perf.viterbi_decode").collect();
+        let items: Vec<_> = all.iter().filter(|s| s.name == "graph.knn").collect();
         // no worker span is lost: every one of the 256 items is
         // captured, whichever thread executed its chunk…
         assert_eq!(items.len(), 256);
