@@ -3,35 +3,21 @@
 //! ```text
 //! cargo run --release --bin audit -- --workspace            # full scan, CI gate
 //! cargo run --release --bin audit -- --self-test            # lexer/rules vs fixtures
-//! cargo run --release --bin audit -- path/to/file.rs ...    # scan specific files
 //! ```
 //!
-//! Options:
-//!
-//! * `--root <dir>` — workspace root (default: two levels above this
-//!   crate's manifest, i.e. the repo checkout the binary was built from).
-//! * `--metrics-out <path>` — append the run's metrics
-//!   (`audit.findings`, `audit.rule.<id>`, `audit.files_scanned`,
-//!   `audit.hot_fns`) as JSONL through `graphner-obs`, so the metrics
-//!   trajectory records lint debt over time.
-//! * `--hot-report <path>` — write the hot-path inventory: every
-//!   `// hot:`-reachable function with its static alloc-site count and
-//!   its call path from a root.
-//! * `--github-annotations` — additionally emit each finding as a
-//!   GitHub Actions workflow command
-//!   (`::error file=…,line=…,title=…::…`) so CI renders them inline on
-//!   the PR diff.
+//! The workspace root is the checkout the binary was built from (two
+//! levels above this crate's manifest). `--github-annotations`
+//! additionally emits each finding as a GitHub Actions workflow
+//! command (`::error file=…,line=…,title=…::…`) so CI renders them
+//! inline on the PR diff.
 //!
 //! Exit status: `0` clean, `1` findings or self-test failures, `2`
 //! usage or I/O errors.
 
 #![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
     clippy::print_stdout,
     clippy::print_stderr,
-    reason = "command-line tool: bad arguments stop the run with a message, and output is its job"
+    reason = "command-line tool: output is its job"
 )]
 
 use graphner_audit::{self_test, workspace_sources, Report};
@@ -39,53 +25,33 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: audit [--root <dir>] [--metrics-out <path>] [--hot-report <path>] [--github-annotations] (--workspace | --self-test | <file.rs>...)"
-    );
+    eprintln!("usage: audit [--github-annotations] (--workspace | --self-test)");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut selftest = false;
-    let mut root_override: Option<PathBuf> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut hot_report: Option<PathBuf> = None;
     let mut github_annotations = false;
-    let mut paths: Vec<PathBuf> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--self-test" => selftest = true,
-            "--root" => match args.next() {
-                Some(dir) => root_override = Some(PathBuf::from(dir)),
-                None => return usage(),
-            },
-            "--metrics-out" => match args.next() {
-                Some(path) => metrics_out = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
-            "--hot-report" => match args.next() {
-                Some(path) => hot_report = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
             "--github-annotations" => github_annotations = true,
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
             }
-            _ if arg.starts_with('-') => return usage(),
-            _ => paths.push(PathBuf::from(arg)),
+            _ => return usage(),
         }
     }
-    if !workspace && !selftest && paths.is_empty() {
+    if !workspace && !selftest {
         return usage();
     }
 
-    // Default root: this crate lives at <root>/crates/audit.
-    let root = root_override.unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
+    // This crate lives at <root>/crates/audit.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let root = root.canonicalize().unwrap_or(root);
 
     let mut failed = false;
@@ -132,50 +98,21 @@ fn main() -> ExitCode {
         }
     }
 
-    if workspace || !paths.is_empty() {
-        let files = if workspace {
-            match workspace_sources(&root) {
-                Ok(mut f) => {
-                    let mut extra: Vec<PathBuf> =
-                        paths.iter().map(|p| absolutize(&root, p)).collect();
-                    f.append(&mut extra);
-                    f
-                }
+    if workspace {
+        let report =
+            match workspace_sources(&root).and_then(|files| graphner_audit::run(&root, &files)) {
+                Ok(report) => report,
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::from(2);
                 }
-            }
-        } else {
-            paths.iter().map(|p| absolutize(&root, p)).collect()
-        };
-        match graphner_audit::run(&root, &files) {
-            Ok(report) => {
-                print_report(&report);
-                if github_annotations {
-                    print_github_annotations(&report);
-                }
-                if let Some(path) = &hot_report {
-                    if let Err(e) = std::fs::write(path, report.hot.render()) {
-                        eprintln!("audit: cannot write hot report to {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-                if let Some(path) = &metrics_out {
-                    report.publish_metrics();
-                    if let Err(e) = write_metrics(path) {
-                        eprintln!("audit: cannot write metrics to {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                }
-                if !report.is_clean() {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
+            };
+        print_report(&report);
+        if github_annotations {
+            print_github_annotations(&report);
+        }
+        if !report.is_clean() {
+            failed = true;
         }
     }
 
@@ -197,17 +134,6 @@ fn list_fixtures(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     fixtures.sort();
     Ok(fixtures)
-}
-
-/// Resolve a CLI path against the workspace root unless already absolute.
-fn absolutize(root: &Path, p: &Path) -> PathBuf {
-    let candidate = if p.is_absolute() { p.to_path_buf() } else { root.join(p) };
-    // fall back to CWD-relative if the root-relative guess is missing
-    if candidate.is_file() || p.is_absolute() {
-        candidate
-    } else {
-        p.to_path_buf()
-    }
 }
 
 fn print_report(report: &Report) {
@@ -245,12 +171,4 @@ fn print_github_annotations(report: &Report) {
             gh_escape(&f.what)
         );
     }
-}
-
-/// Append the global metrics registry as JSONL.
-fn write_metrics(path: &Path) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let jsonl = graphner_obs::Registry::global().export_jsonl();
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(jsonl.as_bytes())
 }

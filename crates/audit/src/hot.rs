@@ -1,4 +1,4 @@
-//! The hot-path rule families and the `--hot-report` inventory.
+//! The hot-path rule families.
 //!
 //! A `// hot:` annotation directly above a library `fn` marks it a
 //! hot-path *root* (the propagation inner loops, kNN scoring, the CRF
@@ -21,65 +21,13 @@
 
 use crate::rules::{Finding, Rule};
 use crate::symbols::FileIndex;
-use crate::symgraph::{HotReach, SymbolGraph};
+use crate::symgraph::SymbolGraph;
 
-/// One hot-reachable function in the `--hot-report` inventory.
-#[derive(Clone, Debug)]
-pub struct HotFnRecord {
-    /// Workspace-relative path.
-    pub path: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Function name.
-    pub name: String,
-    /// Number of allocation call sites in the body (contracted or not).
-    pub alloc_sites: usize,
-    /// The `// hot:` reason for roots, `None` for reached functions.
-    pub root_reason: Option<String>,
-    /// Rendered call path from a root down to this function.
-    pub via: String,
-}
-
-/// The `--hot-report` payload: every hot-reachable function.
-#[derive(Clone, Debug, Default)]
-pub struct HotInventory {
-    /// Hot-reachable functions, in (file, fn) order.
-    pub fns: Vec<HotFnRecord>,
-}
-
-impl HotInventory {
-    /// Render the report text, one line per function:
-    /// `root <path>:<line> <name> alloc_sites=<n> — <reason>` or
-    /// `fn <path>:<line> <name> alloc_sites=<n> via <a -> b -> c>`.
-    pub fn render(&self) -> String {
-        let roots = self.fns.iter().filter(|f| f.root_reason.is_some()).count();
-        let total_allocs: usize = self.fns.iter().map(|f| f.alloc_sites).sum();
-        let mut out = format!(
-            "# hot-path inventory: {} roots, {} functions, {} alloc sites\n",
-            roots,
-            self.fns.len(),
-            total_allocs
-        );
-        for f in &self.fns {
-            match &f.root_reason {
-                Some(reason) => out.push_str(&format!(
-                    "root {}:{} {} alloc_sites={} — {}\n",
-                    f.path, f.line, f.name, f.alloc_sites, reason
-                )),
-                None => out.push_str(&format!(
-                    "fn {}:{} {} alloc_sites={} via {}\n",
-                    f.path, f.line, f.name, f.alloc_sites, f.via
-                )),
-            }
-        }
-        out
-    }
-}
-
-/// Run the two hot-path families over the hot-reachable set.
-pub(crate) fn check(files: &[FileIndex], graph: &SymbolGraph<'_>, findings: &mut Vec<Finding>) {
-    let reach = graph.hot_reachability();
-    for &(fi, gi) in reach.keys() {
+/// Run the two hot-path families over the hot-reachable set of the
+/// symbol graph linking `files` (pass 2).
+pub fn check(files: &[FileIndex]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (fi, gi) in SymbolGraph::link(files).hot_reachability() {
         let file = &files[fi];
         let f = &file.fns[gi];
         if f.is_test {
@@ -112,40 +60,17 @@ pub(crate) fn check(files: &[FileIndex], graph: &SymbolGraph<'_>, findings: &mut
             }
         }
     }
-}
-
-/// Build the `--hot-report` inventory over `files`.
-pub fn inventory(files: &[FileIndex]) -> HotInventory {
-    let graph = SymbolGraph::link(files);
-    let reach = graph.hot_reachability();
-    let mut fns = Vec::new();
-    for (&(fi, gi), r) in &reach {
-        let file = &files[fi];
-        let f = &file.fns[gi];
-        fns.push(HotFnRecord {
-            path: file.path.clone(),
-            line: f.line,
-            name: f.name.clone(),
-            alloc_sites: f.alloc_sites.len(),
-            root_reason: match r {
-                HotReach::Root(reason) => Some(reason.clone()),
-                HotReach::Via(_) => None,
-            },
-            via: graph.render_hot_path((fi, gi), &reach),
-        });
-    }
-    HotInventory { fns }
+    findings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::symbols::index_file;
-    use crate::xrules::check as xcheck;
 
     fn findings_of(src: &str) -> Vec<(&'static str, usize)> {
         let files = vec![index_file("crates/graph/src/x.rs", src)];
-        xcheck(&files).into_iter().map(|f| (f.rule.id(), f.line)).collect()
+        check(&files).into_iter().map(|f| (f.rule.id(), f.line)).collect()
     }
 
     #[test]
@@ -212,42 +137,5 @@ mod tests {\n\
     fn t(xs: &[u32]) { let _ = xs.to_vec(); }\n\
 }\n";
         assert!(findings_of(src).is_empty());
-    }
-
-    #[test]
-    fn inventory_lists_roots_and_reached_fns() {
-        let files = vec![index_file(
-            "crates/graph/src/x.rs",
-            "\
-pub fn stage(xs: &[u32]) -> usize {\n\
-    let _s = span(SpanName::GraphKnn);\n\
-    kernel_fn(xs)\n\
-}\n\
-// hot: per-vertex kernel\n\
-pub fn kernel_fn(xs: &[u32]) -> usize {\n\
-    // alloc: scratch, hoisted per batch\n\
-    let v: Vec<u32> = xs.to_vec();\n\
-    v.len()\n\
-}\n\
-pub fn unrelated() {}\n",
-        )];
-        let inv = inventory(&files);
-        assert_eq!(inv.fns.len(), 1);
-        assert_eq!(inv.fns[0].name, "kernel_fn");
-        assert_eq!(inv.fns[0].alloc_sites, 1);
-        assert!(inv.fns[0].root_reason.is_some());
-        let text = inv.render();
-        assert!(
-            text.contains("# hot-path inventory: 1 roots, 1 functions, 1 alloc sites\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "root crates/graph/src/x.rs:6 kernel_fn alloc_sites=1 — per-vertex kernel"
-            ),
-            "{text}"
-        );
-        // the span minted by the (cold) caller gets no line of its own
-        assert_eq!(text.lines().count(), 2, "{text}");
     }
 }

@@ -48,8 +48,8 @@ pub struct Token {
 
 /// One comment with its source position. Comments never become tokens
 /// — rules cannot be fooled by their contents — but the symbol-index
-/// pass reads them back out for provenance annotations (`// SAFETY:`,
-/// `// det:`), which live *in* comments by design.
+/// pass reads them back out for the hot-path annotations (`// hot:`,
+/// `// alloc:`, `// bound:`), which live *in* comments by design.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Comment {
     /// 1-based line of the comment's first character.
@@ -123,7 +123,8 @@ pub fn tokenize(source: &str) -> Vec<Token> {
 
 /// Tokenize Rust source, also capturing every comment with its line
 /// span and interior text — the input to the symbol-index pass, whose
-/// provenance rules (`// SAFETY:`, `// det:`) live in comments.
+/// hot-path annotations (`// hot:`, `// alloc:`, `// bound:`) live in
+/// comments.
 pub fn tokenize_full(source: &str) -> LexOutput {
     Lexer {
         chars: source.chars().collect(),

@@ -3,14 +3,14 @@
 //! A zero-dependency static-analysis pass with its own lightweight Rust
 //! lexer ([`lexer`]) that walks every workspace `src/` file and
 //! enforces the project policy clippy cannot express ([`rules`]):
-//! float-literal equality, order-safety notes on parallel merges, and
-//! the hot-path allocation and index-arithmetic contracts. The policy
-//! clippy *can* express — panics, hash maps, clocks, printing, unsafe
-//! provenance, thread counts, hot-module casts — is configured in
-//! `[workspace.lints]` and `clippy.toml`, and justified exceptions are
-//! `#[expect(lint, reason = "…")]` attributes at the site (DESIGN.md
-//! §9). The span-name vocabulary is the compiler's: `graphner_obs::span`
-//! takes the closed `SpanName` enum.
+//! float-literal equality, and the hot-path allocation and
+//! index-arithmetic contracts ([`hot`]). The policy clippy *can*
+//! express — panics, hash maps, clocks, printing, unsafe provenance,
+//! thread counts, parallel float merges, hot-module casts — is
+//! configured in `[workspace.lints]` and `clippy.toml`, and justified
+//! exceptions are `#[expect(lint, reason = "…")]` attributes at the
+//! site (DESIGN.md §9). The span-name vocabulary is the compiler's:
+//! `graphner_obs::span` takes the closed `SpanName` enum.
 //!
 //! Run it as `cargo run --release --bin audit -- --workspace` (a
 //! required CI step), or `--self-test` to validate the lexer and rule
@@ -21,9 +21,8 @@ pub mod lexer;
 pub mod rules;
 pub mod symbols;
 pub mod symgraph;
-pub mod xrules;
 
-use rules::{Finding, Rule, ALL_RULES};
+use rules::{Finding, Rule};
 use std::path::{Path, PathBuf};
 use symbols::FileIndex;
 
@@ -42,9 +41,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// The hot-path inventory (`--hot-report`): hot-reachable functions
-    /// with their static alloc-site counts.
-    pub hot: hot::HotInventory,
 }
 
 impl Report {
@@ -52,25 +48,8 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
-
-    /// Count of surviving findings for `rule`.
-    pub fn count_for(&self, rule: Rule) -> usize {
-        self.findings.iter().filter(|f| f.rule == rule).count()
-    }
-
-    /// Publish the run to the global `graphner-obs` metrics registry:
-    /// `audit.findings` (total), `audit.rule.<id>` per rule,
-    /// `audit.files_scanned` and `audit.hot_fns`.
-    pub fn publish_metrics(&self) {
-        graphner_obs::counter("audit.findings").add(self.findings.len() as u64);
-        for rule in ALL_RULES {
-            graphner_obs::counter(&format!("audit.rule.{}", rule.id()))
-                .add(self.count_for(rule) as u64);
-        }
-        graphner_obs::counter("audit.files_scanned").add(self.files_scanned as u64);
-        graphner_obs::counter("audit.hot_fns").add(self.hot.fns.len() as u64);
-    }
 }
+
 /// Errors from walking or reading the tree.
 #[derive(Debug)]
 pub enum AuditError {
@@ -173,14 +152,6 @@ fn scan_path_of(source: &str, rel: &str) -> String {
         .unwrap_or_else(|| rel.to_string())
 }
 
-/// Scan one file (pass 1 only). If its first line carries a
-/// `//@ scan-as:` header (fixtures), rules are scoped as if it lived
-/// at that path; findings still report the real relative path.
-pub fn scan_file(root: &Path, file: &Path) -> Result<(Vec<Finding>, String), AuditError> {
-    let (findings, _, source) = analyze_file(root, file)?;
-    Ok((findings, source))
-}
-
 /// Scan **and index** one file: pass-1 findings plus the pass-1 symbol
 /// index pass 2 consumes. Scope derives from the scan path; both
 /// findings and the index report the real relative path.
@@ -202,7 +173,7 @@ pub fn analyze_file(
 
 /// Run the two-pass audit over `files` (workspace-relative reporting
 /// against `root`): pass 1 lints each file and builds its symbol index;
-/// pass 2 links the indexes and runs the cross-file rules.
+/// pass 2 links the indexes and runs the hot-path rules.
 pub fn run(root: &Path, files: &[PathBuf]) -> Result<Report, AuditError> {
     let mut findings = Vec::new();
     let mut indexes: Vec<FileIndex> = Vec::new();
@@ -211,8 +182,8 @@ pub fn run(root: &Path, files: &[PathBuf]) -> Result<Report, AuditError> {
         indexes.push(index);
         findings.extend(file_findings);
     }
-    findings.extend(xrules::check(&indexes));
-    Ok(Report { findings, files_scanned: files.len(), hot: hot::inventory(&indexes) })
+    findings.extend(hot::check(&indexes));
+    Ok(Report { findings, files_scanned: files.len() })
 }
 
 /// One fixture's self-test outcome.
@@ -231,7 +202,7 @@ pub struct SelfTestFailure {
 /// is empty **and** at least one finding was expected — a fixture set
 /// that expects nothing proves nothing.
 ///
-/// Both passes run: per-file rules plus the cross-file rules over each
+/// Both passes run: per-file rules plus the hot-path rules over each
 /// fixture's own (single-file) symbol graph.
 pub fn self_test(
     root: &Path,
@@ -244,7 +215,7 @@ pub fn self_test(
         if !source.trim_start().starts_with(SCAN_AS) {
             return Err(AuditError::MissingScanAs { path: file.clone() });
         }
-        found.extend(xrules::check(std::slice::from_ref(&index)));
+        found.extend(hot::check(std::slice::from_ref(&index)));
         let mut expected: Vec<(Rule, usize)> = Vec::new();
         for (idx, line) in source.lines().enumerate() {
             let mut rest = line;
@@ -331,7 +302,7 @@ mod tests {
         let f2 = write(
             &root,
             "crates/graph/src/b.rs",
-            "fn g(xs: &[f64]) -> f64 {\n    xs.par_iter().cloned().reduce(|| 0.0, f64::max)\n}\n",
+            "// hot: kernel\nfn g(xs: &[u32]) -> Vec<u32> {\n    xs.to_vec()\n}\n",
         );
         let report = run(&root, &[f1, f2]).unwrap();
         assert_eq!(report.files_scanned, 2);
@@ -341,7 +312,7 @@ mod tests {
             got,
             vec![
                 (Rule::NoFloatEq, "crates/text/src/a.rs", 1),
-                (Rule::DetMerge, "crates/graph/src/b.rs", 2)
+                (Rule::HotAlloc, "crates/graph/src/b.rs", 3)
             ]
         );
         assert!(!report.is_clean());
@@ -357,7 +328,7 @@ mod tests {
             "crates/audit/fixtures/v.rs",
             "//@ scan-as: crates/core/src/fixture.rs\nfn f() { x == 1.0; }\n",
         );
-        let (findings, _) = scan_file(&root, &f).unwrap();
+        let (findings, _, _) = analyze_file(&root, &f).unwrap();
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].path, "crates/audit/fixtures/v.rs");
         assert_eq!(findings[0].line, 2);
@@ -378,12 +349,12 @@ mod tests {
         let bad = write(
             &root,
             "crates/audit/fixtures/bad.rs",
-            "//@ scan-as: crates/core/src/f.rs\nfn f() { x == 1.0; }\nfn g() {} //~ det-merge\n",
+            "//@ scan-as: crates/core/src/f.rs\nfn f() { x == 1.0; }\nfn g() {} //~ hot-alloc\n",
         );
         let (_, _, failures) = self_test(&root, &[bad]).unwrap();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].unexpected.len(), 1); // the unmarked float eq
-        assert_eq!(failures[0].missing, vec![(Rule::DetMerge, 3)]);
+        assert_eq!(failures[0].missing, vec![(Rule::HotAlloc, 3)]);
     }
 
     #[test]

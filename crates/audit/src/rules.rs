@@ -1,25 +1,17 @@
 //! The audit rules: token-pattern lints encoding GraphNER project
 //! policy that clippy cannot express. Policy that clippy *can* express
 //! (panics, hash maps, clocks, printing, unsafe provenance, thread
-//! counts, hot-path casts) lives in `[workspace.lints]` and
-//! `clippy.toml` instead (DESIGN.md §9).
+//! counts, parallel float merges, hot-path casts) lives in
+//! `[workspace.lints]` and `clippy.toml` instead (DESIGN.md §9).
 //!
 //! | id            | policy                                                          |
 //! |---------------|-----------------------------------------------------------------|
 //! | `no-float-eq` | no bare `==` / `!=` against float literals in library code —    |
 //! |               | unlike `clippy::float_cmp`, either operand side and zero count  |
 //!
-//! The cross-file rules run in pass 2 over the linked symbol graph
-//! (see [`crate::symgraph`] and [`crate::xrules`]):
-//!
-//! | id              | policy                                                        |
-//! |-----------------|---------------------------------------------------------------|
-//! | `det-merge`     | parallel `reduce`/`sum` merges carry a `// det: <why          |
-//! |                 | order-safe>` annotation in the same statement                 |
-//!
-//! The hot-path families also run in pass 2, but only inside the
-//! hot-reachable function set seeded by `// hot:` annotations (see
-//! [`crate::hot`]):
+//! The hot-path families run in pass 2 over the linked symbol graph
+//! ([`crate::symgraph`]), and only inside the hot-reachable function
+//! set seeded by `// hot:` annotations (see [`crate::hot`]):
 //!
 //! | id              | policy                                                        |
 //! |-----------------|---------------------------------------------------------------|
@@ -43,8 +35,6 @@ use crate::lexer::{Token, TokenKind};
 pub enum Rule {
     /// Bare `==`/`!=` against a float literal in library code.
     NoFloatEq,
-    /// Parallel `reduce`/`sum` merge without a `// det:` annotation.
-    DetMerge,
     /// Uncontracted allocation call site in a hot-reachable function.
     HotAlloc,
     /// Unchecked index arithmetic in a hot-reachable function.
@@ -53,16 +43,14 @@ pub enum Rule {
 
 /// All rules, in reporting order. The first runs per file (pass 1),
 /// the rest over the linked symbol graph (pass 2).
-pub const ALL_RULES: [Rule; 4] =
-    [Rule::NoFloatEq, Rule::DetMerge, Rule::HotAlloc, Rule::HotOverflow];
+pub const ALL_RULES: [Rule; 3] = [Rule::NoFloatEq, Rule::HotAlloc, Rule::HotOverflow];
 
 impl Rule {
-    /// The rule's stable string id (used in findings, fixture markers
-    /// and metric names).
+    /// The rule's stable string id (used in findings and fixture
+    /// markers).
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoFloatEq => "no-float-eq",
-            Rule::DetMerge => "det-merge",
             Rule::HotAlloc => "hot-alloc",
             Rule::HotOverflow => "hot-overflow",
         }
@@ -96,10 +84,6 @@ impl std::fmt::Display for Finding {
 /// Where a file sits in the workspace, deciding which rules apply.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileScope {
-    /// Crate name as derived from the path (`core`, `graph`, `bench`,
-    /// …; `vendor/rayon/src/` scans as `rayon`; the root `src/` scans
-    /// as `graphner`).
-    pub crate_name: String,
     /// Binary target (`src/bin/…`), integration test or bench file.
     pub is_binary: bool,
 }
@@ -110,17 +94,12 @@ impl FileScope {
     pub fn from_path(path: &str) -> FileScope {
         let norm = path.replace('\\', "/");
         let parts: Vec<&str> = norm.split('/').collect();
-        let crate_name = match parts.first() {
-            Some(&"crates") if parts.len() > 1 => parts[1].to_string(),
-            Some(&"vendor") if parts.len() > 1 => parts[1].to_string(),
-            _ => "graphner".to_string(),
-        };
         let is_binary = parts.windows(2).any(|w| w == ["src", "bin"])
             || parts.contains(&"benches")
             || parts.contains(&"tests")
             || parts.contains(&"examples")
             || parts.contains(&"fixtures");
-        FileScope { crate_name, is_binary }
+        FileScope { is_binary }
     }
 }
 
@@ -300,15 +279,11 @@ mod tests {
 
     #[test]
     fn scope_derivation() {
-        let s = FileScope::from_path("crates/graph/src/knn.rs");
-        assert_eq!(s.crate_name, "graph");
-        assert!(!s.is_binary);
+        assert!(!FileScope::from_path("crates/graph/src/knn.rs").is_binary);
         assert!(FileScope::from_path("crates/bench/src/bin/t.rs").is_binary);
         assert!(FileScope::from_path("crates/obs/tests/rayon_spans.rs").is_binary);
-        assert_eq!(FileScope::from_path("src/lib.rs").crate_name, "graphner");
-        let v = FileScope::from_path("vendor/rayon/src/pool.rs");
-        assert_eq!(v.crate_name, "rayon");
-        assert!(!v.is_binary);
+        assert!(!FileScope::from_path("src/lib.rs").is_binary);
+        assert!(!FileScope::from_path("vendor/rayon/src/pool.rs").is_binary);
     }
 
     #[test]

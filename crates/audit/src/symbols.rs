@@ -1,15 +1,13 @@
 //! Pass 1 of the workspace analyzer: the per-file item index.
 //!
 //! The token-pattern rules in [`crate::rules`] see one token at a time;
-//! the cross-file rules in [`crate::xrules`] need *structure*: which
-//! functions exist, what they call, and which parallel merges touch
-//! floats. This module parses the token stream (plus the captured
-//! comments) into a [`FileIndex`] — a deliberately shallow item model:
-//! function items with body extents, call-expression edges by callee
-//! name, allocation and index-arithmetic sites with their contracts,
-//! and parallel `reduce`/`sum` sites with their `// det:` annotations.
-//! [`crate::symgraph`] links the per-file indexes into the workspace
-//! symbol graph.
+//! the hot-path rules in [`crate::hot`] need *structure*: which
+//! functions exist and what they call. This module parses the token
+//! stream (plus the captured comments) into a [`FileIndex`] — a
+//! deliberately shallow item model: function items with body extents,
+//! call-expression edges by callee name, and allocation and
+//! index-arithmetic sites with their contracts. [`crate::symgraph`]
+//! links the per-file indexes into the workspace symbol graph.
 //!
 //! Full name resolution is out of scope by design (the audit is
 //! zero-dep and must stay fast); the linking pass resolves a call edge
@@ -17,7 +15,6 @@
 //! exactly the class of edges a hot-path walk can trust.
 
 use crate::lexer::{tokenize_full, Comment, Token, TokenKind};
-use crate::rules::FileScope;
 
 /// Keywords that look like call expressions (`if (…)`, `match (…)`)
 /// but are not, plus binding forms an index expression cannot follow.
@@ -31,10 +28,6 @@ const NON_CALL_KEYWORDS: [&str; 28] = [
 /// even where a workspace fn shares the name (`bench::perf::expect`).
 const OPTION_METHODS: [&str; 2] = ["unwrap", "expect"];
 
-/// Parallel-iterator entry points: a `reduce`/`sum` in the same
-/// statement as one of these merges across chunk boundaries.
-const PAR_ENTRIES: [&str; 4] = ["par_iter", "par_iter_mut", "into_par_iter", "par_chunks"];
-
 /// Method names whose call allocates (or may allocate) on the heap —
 /// the `hot-alloc` family flags these inside hot functions.
 const ALLOC_METHODS: [&str; 6] = ["push", "collect", "to_string", "to_owned", "to_vec", "clone"];
@@ -47,15 +40,6 @@ const ALLOC_TYPES: [&str; 3] = ["Vec", "Box", "String"];
 
 /// Allocating constructor names on [`ALLOC_TYPES`].
 const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
-
-/// One call expression inside a function body.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CallSite {
-    /// Callee name as written (last path segment / method name).
-    pub name: String,
-    /// 1-based line of the callee token.
-    pub line: usize,
-}
 
 /// One allocation call site inside a function body.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,12 +69,11 @@ pub struct ArithSite {
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
     /// Whether the item sits inside a `#[cfg(test)]` region.
     pub is_test: bool,
-    /// Call expressions in the body, in source order.
-    pub calls: Vec<CallSite>,
+    /// Callee names of the call expressions in the body, as written
+    /// (last path segment / method name), in source order.
+    pub calls: Vec<String>,
     /// Body of the `// hot:` annotation directly above the `fn` line,
     /// if any — marks this function a hot-path root.
     pub hot: Option<String>,
@@ -106,10 +89,9 @@ pub struct FnItem {
 impl FnItem {
     /// An empty non-test library function item — the building block
     /// for synthetic call graphs in tests.
-    pub fn synthetic(name: &str, line: usize) -> FnItem {
+    pub fn synthetic(name: &str) -> FnItem {
         FnItem {
             name: name.to_string(),
-            line,
             is_test: false,
             calls: Vec::new(),
             hot: None,
@@ -120,33 +102,13 @@ impl FnItem {
     }
 }
 
-/// One parallel `reduce`/`sum` merge site.
-#[derive(Clone, Debug)]
-pub struct DetSite {
-    /// `reduce` or `sum`.
-    pub op: String,
-    /// 1-based line of the operator token.
-    pub line: usize,
-    /// Whether the statement contains a parallel-iterator entry point
-    /// — only then does merge order depend on chunking at all.
-    pub parallel: bool,
-    /// Body of the covering `// det:` annotation, if present.
-    pub annotation: Option<String>,
-    /// Whether the site sits inside a `#[cfg(test)]` region.
-    pub is_test: bool,
-}
-
 /// Everything pass 1 extracts from one file.
 #[derive(Clone, Debug)]
 pub struct FileIndex {
     /// The path rules were scoped under (scan path for fixtures).
     pub path: String,
-    /// Derived scope.
-    pub scope: FileScope,
     /// Function items, in source order.
     pub fns: Vec<FnItem>,
-    /// Parallel merge sites, in source order.
-    pub det_sites: Vec<DetSite>,
 }
 
 /// Parse one file into its [`FileIndex`]. `path` decides rule scopes
@@ -161,9 +123,8 @@ pub fn index_file(path: &str, source: &str) -> FileIndex {
     let mut fns = collect_fns(tokens, comments, &in_test);
     let bodies = body_spans(tokens);
     attribute_bodies(tokens, comments, &bodies, &mut fns);
-    let det_sites = collect_det(tokens, comments, &in_test);
 
-    FileIndex { path: path.to_string(), scope: FileScope::from_path(path), fns, det_sites }
+    FileIndex { path: path.to_string(), fns }
 }
 
 fn is_keyword_call(name: &str) -> bool {
@@ -202,7 +163,7 @@ fn collect_fns(
         if tokens[i].is_ident("fn") {
             if let Some(name) = tokens.get(i + 1).and_then(Token::ident) {
                 let line = tokens[i].line;
-                let mut item = FnItem::synthetic(name, line);
+                let mut item = FnItem::synthetic(name);
                 item.is_test = in_test(i);
                 item.hot = annotation_above(comments, line, "hot:");
                 item.bound = annotation_above(comments, line, "bound:");
@@ -259,7 +220,7 @@ fn attribute_bodies(
             let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
             let option_method = prev_dot && OPTION_METHODS.contains(&name);
             if next_paren && !prev_fn && !is_keyword_call(name) && !option_method {
-                fns[owner].calls.push(CallSite { name: name.to_string(), line: tok.line });
+                fns[owner].calls.push(name.to_string());
             }
             // hot-alloc capture: `.push(` / `.collect(` / `.collect::<`
             // method forms, `vec!` / `format!` macros, and
@@ -438,7 +399,7 @@ fn statement_contract(
         text.lines()
             .find_map(|l| l.trim_start().strip_prefix(key).map(|rest| rest.trim().to_string()))
     };
-    let (stmt_start_line, _) = scan_statement_back(tokens, at);
+    let stmt_start_line = statement_start_line(tokens, at);
     let line = tokens[at].line;
     if let Some(found) = find_key(&block_above(comments, stmt_start_line)) {
         return Some(found);
@@ -449,53 +410,11 @@ fn statement_contract(
         .find_map(|c| find_key(c.body()))
 }
 
-/// Third sweep: parallel `reduce`/`sum` merge sites and their
-/// `// det:` annotations.
-fn collect_det(
-    tokens: &[Token],
-    comments: &[Comment],
-    in_test: &dyn Fn(usize) -> bool,
-) -> Vec<DetSite> {
-    let mut out = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        let Some(name) = tok.ident() else { continue };
-        if name != "reduce" && name != "sum" {
-            continue;
-        }
-        let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
-        let next_call = tokens.get(i + 1).is_some_and(|t| t.is_punct('(') || t.is_op("::"));
-        if !prev_dot || !next_call {
-            continue;
-        }
-        let (stmt_start_line, parallel) = scan_statement_back(tokens, i);
-        let annotation = comments
-            .iter()
-            .filter(|c| {
-                c.end_line + 1 >= stmt_start_line && c.line <= tok.line && {
-                    // inside [stmt_start_line - 1, site line]
-                    c.line + 1 >= stmt_start_line
-                }
-            })
-            .find(|c| c.body().contains("det:"))
-            .map(|c| c.body().to_string());
-        out.push(DetSite {
-            op: name.to_string(),
-            line: tok.line,
-            parallel,
-            annotation,
-            is_test: in_test(i),
-        });
-    }
-    out
-}
-
-/// Walk backwards from the merge operator to the start of its
-/// statement (a `;`, or an enclosing `{`/`(` boundary), reporting the
-/// statement's first line and whether a parallel entry point occurs in
-/// it.
-fn scan_statement_back(tokens: &[Token], from: usize) -> (usize, bool) {
+/// Walk backwards from token `from` to the start of its statement (a
+/// `;`, or an enclosing `{`/`(`/`[` boundary) and report the
+/// statement's first line.
+fn statement_start_line(tokens: &[Token], from: usize) -> usize {
     let mut depth = 0i32;
-    let mut parallel = false;
     let mut first_line = tokens[from].line;
     let mut j = from;
     while j > 0 {
@@ -510,14 +429,11 @@ fn scan_statement_back(tokens: &[Token], from: usize) -> (usize, bool) {
                 }
             }
             TokenKind::Punct(';') if depth == 0 => break,
-            TokenKind::Ident(name) if PAR_ENTRIES.contains(&name.as_str()) => {
-                parallel = true;
-            }
             _ => {}
         }
         first_line = t.line;
     }
-    (first_line, parallel)
+    first_line
 }
 
 #[cfg(test)]
@@ -535,10 +451,9 @@ mod tests {
         assert_eq!(ix.fns.len(), 3);
         let a = &ix.fns[0];
         assert_eq!(a.name, "a");
-        assert_eq!(a.calls.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(), vec!["b"]);
+        assert_eq!(a.calls, vec!["b"]);
         let b = &ix.fns[1];
-        let calls: Vec<&str> = b.calls.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(calls, vec!["helper", "expect"]);
+        assert_eq!(b.calls, vec!["helper", "expect"]);
     }
 
     #[test]
@@ -546,53 +461,11 @@ mod tests {
         let src = "fn outer() {\n let f = |x: u32| inner_call(x);\n f(1);\n fn nested() { nested_call(); }\n}";
         let ix = idx(src);
         let outer = &ix.fns[0];
-        assert!(outer.calls.iter().any(|c| c.name == "inner_call"));
-        assert!(outer.calls.iter().any(|c| c.name == "f"));
-        assert!(!outer.calls.iter().any(|c| c.name == "nested_call"));
+        assert!(outer.calls.iter().any(|c| c == "inner_call"));
+        assert!(outer.calls.iter().any(|c| c == "f"));
+        assert!(!outer.calls.iter().any(|c| c == "nested_call"));
         let nested = &ix.fns[1];
         assert_eq!(nested.name, "nested");
-        assert!(nested.calls.iter().any(|c| c.name == "nested_call"));
-    }
-
-    #[test]
-    fn det_sites_parallel_detection_and_annotation() {
-        let src = "\
-fn seq(xs: &[f64]) -> f64 {\n\
-    xs.iter().sum()\n\
-}\n\
-fn par_unannotated(xs: &[f64]) -> f64 {\n\
-    xs.par_iter().map(|x| x.abs()).reduce(|| 0.0, f64::max)\n\
-}\n\
-fn par_annotated(xs: &[f64]) -> f64 {\n\
-    // det: f64::max is exact, merge order cannot matter\n\
-    xs.par_iter().map(|x| x.abs()).reduce(|| 0.0, f64::max)\n\
-}\n";
-        let ix = idx(src);
-        assert_eq!(ix.det_sites.len(), 3);
-        assert!(!ix.det_sites[0].parallel);
-        assert!(ix.det_sites[1].parallel);
-        assert!(ix.det_sites[1].annotation.is_none());
-        assert!(ix.det_sites[2].parallel);
-        assert!(ix.det_sites[2].annotation.is_some());
-    }
-
-    #[test]
-    fn det_statement_scan_crosses_closure_braces() {
-        let src = "\
-fn grad(data: &[u32]) -> u32 {\n\
-    let total = data\n\
-        .par_chunks(8)\n\
-        .map(|c| {\n\
-            let mut s = 0;\n\
-            for x in c { s += x; }\n\
-            s\n\
-        })\n\
-        .reduce(|| 0, |a, b| a + b);\n\
-    total\n\
-}\n";
-        let ix = idx(src);
-        assert_eq!(ix.det_sites.len(), 1);
-        assert!(ix.det_sites[0].parallel);
-        assert_eq!(ix.det_sites[0].line, 9);
+        assert!(nested.calls.iter().any(|c| c == "nested_call"));
     }
 }

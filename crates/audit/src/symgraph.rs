@@ -8,7 +8,7 @@
 //! reachability, never fabricate a finding, which is the right failure
 //! direction for a gating rule.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::symbols::FileIndex;
 
@@ -55,15 +55,6 @@ const STD_SHADOWED: [&str; 32] = [
     "zip",
 ];
 
-/// How a function enters the hot-reachable set.
-#[derive(Clone, Debug)]
-pub enum HotReach {
-    /// The function carries a `// hot:` root annotation (the reason).
-    Root(String),
-    /// A hot caller's resolved call edge reaches it.
-    Via(FnId),
-}
-
 /// The linked graph. Borrows the indexes it links.
 pub struct SymbolGraph<'a> {
     files: &'a [FileIndex],
@@ -103,55 +94,27 @@ impl<'a> SymbolGraph<'a> {
     /// A missed (ambiguous or std-shadowed) edge leaves
     /// a callee out of the hot set, so the hot-path rules can only
     /// under-report; they never fabricate a hot function.
-    pub fn hot_reachability(&self) -> BTreeMap<FnId, HotReach> {
-        let mut reach: BTreeMap<FnId, HotReach> = BTreeMap::new();
+    pub fn hot_reachability(&self) -> BTreeSet<FnId> {
+        let mut reach: BTreeSet<FnId> = BTreeSet::new();
         for (fi, file) in self.files.iter().enumerate() {
             for (gi, f) in file.fns.iter().enumerate() {
-                if !f.is_test {
-                    if let Some(reason) = &f.hot {
-                        reach.insert((fi, gi), HotReach::Root(reason.clone()));
-                    }
+                if !f.is_test && f.hot.is_some() {
+                    reach.insert((fi, gi));
                 }
             }
         }
-        loop {
-            let mut changed = false;
-            let hot: Vec<FnId> = reach.keys().copied().collect();
-            for id in hot {
-                let (fi, gi) = id;
-                let f = &self.files[fi].fns[gi];
-                for call in &f.calls {
-                    let Some(target) = self.resolve(&call.name).filter(|t| *t != id) else {
-                        continue;
-                    };
-                    if let std::collections::btree_map::Entry::Vacant(slot) = reach.entry(target) {
-                        slot.insert(HotReach::Via(id));
-                        changed = true;
+        let mut frontier: Vec<FnId> = reach.iter().copied().collect();
+        while let Some(id) = frontier.pop() {
+            let (fi, gi) = id;
+            for call in &self.files[fi].fns[gi].calls {
+                if let Some(target) = self.resolve(call) {
+                    if reach.insert(target) {
+                        frontier.push(target);
                     }
                 }
-            }
-            if !changed {
-                break;
             }
         }
         reach
-    }
-
-    /// Render the call chain from a hot root down to `id`, e.g.
-    /// `sweep_shard -> jacobi_update -> neighbors`.
-    pub fn render_hot_path(&self, id: FnId, reach: &BTreeMap<FnId, HotReach>) -> String {
-        let mut parts = Vec::new();
-        let mut cur = id;
-        loop {
-            let (fi, gi) = cur;
-            parts.push(self.files[fi].fns[gi].name.clone());
-            match reach.get(&cur) {
-                Some(HotReach::Via(prev)) if parts.len() <= self.by_name.len() => cur = *prev,
-                _ => break,
-            }
-        }
-        parts.reverse();
-        parts.join(" -> ")
     }
 }
 
@@ -161,7 +124,7 @@ mod tests {
     use crate::symbols::index_file;
 
     #[test]
-    fn cross_file_hot_reachability_with_path() {
+    fn cross_file_hot_reachability() {
         let files = vec![
             index_file(
                 "crates/graph/src/a.rs",
@@ -172,12 +135,8 @@ mod tests {
                 "pub fn middle(x: u32) -> u32 { sink(x) }\npub fn sink(x: u32) -> u32 { x }\npub fn cold() {}\n",
             ),
         ];
-        let g = SymbolGraph::link(&files);
-        let reach = g.hot_reachability();
-        assert!(matches!(reach.get(&(0, 0)), Some(HotReach::Root(_))));
-        assert!(matches!(reach.get(&(1, 1)), Some(HotReach::Via((1, 0)))));
-        assert!(!reach.contains_key(&(1, 2)));
-        assert_eq!(g.render_hot_path((1, 1), &reach), "entry -> middle -> sink");
+        let reach = SymbolGraph::link(&files).hot_reachability();
+        assert_eq!(reach, BTreeSet::from([(0, 0), (1, 0), (1, 1)]));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Property tests for the symbol-graph reachability walks, plus a
-//! snapshot of the rendered hot-path inventory.
+//! Property tests for the symbol-graph reachability walk.
 //!
 //! The two properties pin the analyzer's accepted failure direction:
 //! adding information (a call edge) can only grow the reachable set,
@@ -9,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use graphner_audit::symbols::{index_file, CallSite, FileIndex, FnItem};
+use graphner_audit::symbols::{index_file, FileIndex, FnItem};
 use graphner_audit::symgraph::{FnId, SymbolGraph};
 use proptest::prelude::*;
 
@@ -19,20 +18,20 @@ use proptest::prelude::*;
 fn synthetic_file(n: usize, edges: &[(usize, usize)], roots: &[usize]) -> FileIndex {
     let mut file = index_file("crates/graph/src/synthetic.rs", "");
     for i in 0..n {
-        let mut f = FnItem::synthetic(&format!("f{i}"), i + 1);
+        let mut f = FnItem::synthetic(&format!("f{i}"));
         if roots.contains(&i) {
             f.hot = Some("synthetic root".to_string());
         }
         file.fns.push(f);
     }
     for &(a, b) in edges {
-        file.fns[a].calls.push(CallSite { name: format!("f{b}"), line: a + 1 });
+        file.fns[a].calls.push(format!("f{b}"));
     }
     file
 }
 
 fn hot_set(files: &[FileIndex]) -> BTreeSet<FnId> {
-    SymbolGraph::link(files).hot_reachability().into_keys().collect()
+    SymbolGraph::link(files).hot_reachability()
 }
 
 /// Reduce raw sampled `(from, to)` pairs and root picks into a valid
@@ -85,7 +84,7 @@ proptest! {
         let before = hot_set(std::slice::from_ref(&base));
 
         let mut shadow = index_file("crates/core/src/shadow.rs", "");
-        shadow.fns.push(FnItem::synthetic(&format!("f{dup}"), 1));
+        shadow.fns.push(FnItem::synthetic(&format!("f{dup}")));
         let after = hot_set(&[base, shadow]);
 
         prop_assert!(
@@ -108,29 +107,4 @@ proptest! {
             prop_assert!(set.contains(&(0, r)), "root f{r} missing from {set:?}");
         }
     }
-}
-
-/// Snapshot of the rendered hot-function call path and the full
-/// `--hot-report` text for a known three-function chain.
-#[test]
-fn hot_path_render_snapshot() {
-    let source = "\
-// hot: chain root for the snapshot
-fn root_fn(x: u64) -> u64 { mid_fn(x) }
-fn mid_fn(x: u64) -> u64 { leaf_fn(x) }
-fn leaf_fn(x: u64) -> u64 { x }
-";
-    let files = vec![index_file("crates/graph/src/chain.rs", source)];
-    let graph = SymbolGraph::link(&files);
-    let reach = graph.hot_reachability();
-    assert_eq!(graph.render_hot_path((0, 2), &reach), "root_fn -> mid_fn -> leaf_fn");
-
-    let rendered = graphner_audit::hot::inventory(&files).render();
-    let expected = "\
-# hot-path inventory: 1 roots, 3 functions, 0 alloc sites
-root crates/graph/src/chain.rs:2 root_fn alloc_sites=0 — chain root for the snapshot
-fn crates/graph/src/chain.rs:3 mid_fn alloc_sites=0 via root_fn -> mid_fn
-fn crates/graph/src/chain.rs:4 leaf_fn alloc_sites=0 via root_fn -> mid_fn -> leaf_fn
-";
-    assert_eq!(rendered, expected);
 }

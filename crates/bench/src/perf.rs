@@ -288,9 +288,11 @@ mod json {
     #[derive(Clone, Debug)]
     pub enum Value {
         Null,
-        // the report schema has no bool fields yet; the reader accepts
-        // full JSON anyway so future fields parse without surgery
-        #[allow(dead_code)]
+        #[allow(
+            dead_code,
+            reason = "the report schema has no bool fields yet; the reader accepts full JSON \
+                      anyway so future fields parse without surgery"
+        )]
         Bool(bool),
         Number(f64),
         String(String),

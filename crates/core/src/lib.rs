@@ -21,10 +21,11 @@
 //! let detections = annotations_from_predictions(&test, &out.predictions);
 //! ```
 
-// Index loops over parallel arrays are the clearest form for the
-// numeric kernels in this crate; clippy's iterator rewrites would
-// obscure the index relationships between the buffers.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops over parallel arrays are the clearest form for this crate's numeric \
+              kernels; iterator rewrites would obscure the index relationships between buffers"
+)]
 
 pub mod check;
 pub mod config;

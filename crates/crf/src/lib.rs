@@ -19,10 +19,11 @@
 //! the crossing of those features with states and the transition
 //! structure.
 
-// Index loops over parallel arrays are the clearest form for the
-// numeric kernels in this crate; clippy's iterator rewrites would
-// obscure the index relationships between the buffers.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops over parallel arrays are the clearest form for this crate's numeric \
+              kernels; iterator rewrites would obscure the index relationships between buffers"
+)]
 
 pub mod inference;
 pub mod lbfgs;

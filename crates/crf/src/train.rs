@@ -61,6 +61,12 @@ impl ChainCrf {
         // GRAPHNER_THREADS setting.
         let chunk = data.len().div_ceil(64).max(1);
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "det: chunk boundaries are a pure function of data length (see above) \
+                      and the pool merges slots in index order, so this float regrouping \
+                      is fixed for a given corpus"
+        )]
         let (nll, g) = data
             .par_chunks(chunk)
             .map(|sentences| {
@@ -74,9 +80,6 @@ impl ChainCrf {
                 }
                 (nll, g)
             })
-            // det: chunk boundaries are a pure function of data length
-            // (see above) and the pool merges slots in index order, so
-            // this float regrouping is fixed for a given corpus.
             .reduce(
                 || (0.0, vec![0.0; n]),
                 |(nll_a, mut ga), (nll_b, gb)| {

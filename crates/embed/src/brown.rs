@@ -80,7 +80,10 @@ impl State {
     /// Total AMI of the current clustering. Exercised directly by the
     /// merge-cost consistency test; production code only needs the
     /// incremental [`State::merge_cost`].
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        allow(dead_code, reason = "only the merge-cost consistency test calls it")
+    )]
     fn ami(&self) -> f64 {
         let c = self.num();
         let mut total = 0.0;

@@ -9,10 +9,11 @@
 //! * [`kmeans`](mod@kmeans) — k-means over the embeddings, turning them into
 //!   discrete cluster-id features.
 
-// Index loops over parallel arrays are the clearest form for the
-// numeric kernels in this crate; clippy's iterator rewrites would
-// obscure the index relationships between the buffers.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops over parallel arrays are the clearest form for this crate's numeric \
+              kernels; iterator rewrites would obscure the index relationships between buffers"
+)]
 
 pub mod brown;
 pub mod kmeans;

@@ -78,7 +78,10 @@ impl Default for PropagationParams {
 /// returns the fresh distribution. Shared by the sharded engine and
 /// the unsharded reference so both compute identical bits.
 #[inline]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "equation (2) reads the graph, both iterates, the anchors and the weight sums"
+)]
 #[expect(
     clippy::cast_possible_truncation,
     reason = "vertex ids fit u32: the graph builder caps V at u32::MAX"
@@ -128,7 +131,10 @@ fn jacobi_update(
 /// full-array residual sweep — `f64::max` is exact and
 /// order-independent, so merging per-shard maxima in shard order gives
 /// the same bits as one global reduction.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the block bounds and output slices travel beside the equation (2) inputs"
+)]
 // hot: per-shard sweep loop, the propagation engine's inner body
 fn sweep_shard(
     graph: &KnnGraph,
@@ -421,13 +427,17 @@ fn propagate_reference(
                 *dst = jacobi_update(graph, i, x_read, &x0, x_ref, &weight_sums, params, nu_term);
             });
         }
-        residual = x
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "det: f64::max is exact and associative-commutative over non-NaN \
+                      inputs, so the merge order cannot change the bits"
+        )]
+        let sweep_residual = x
             .par_iter()
             .zip(buf.par_iter())
             .map(|(a, b)| a.iter().zip(b).map(|(p, q)| (p - q).abs()).fold(0.0f64, f64::max))
-            // det: f64::max is exact and associative-commutative over
-            // non-NaN inputs, so the merge order cannot change the bits.
             .reduce(|| 0.0, f64::max);
+        residual = sweep_residual;
         std::mem::swap(x, &mut buf);
     }
     PropagationReport {

@@ -8,10 +8,11 @@
 //! CRF output layer, and [`model`] ties them together with SGD training,
 //! gradient clipping, and dev-set early stopping.
 
-// Index loops over parallel arrays are the clearest form for the
-// numeric kernels in this crate; clippy's iterator rewrites would
-// obscure the index relationships between the buffers.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops over parallel arrays are the clearest form for this crate's numeric \
+              kernels; iterator rewrites would obscure the index relationships between buffers"
+)]
 
 pub mod crf_layer;
 pub mod lstm;

@@ -20,6 +20,7 @@ fn capture_isolates_current_thread_from_rayon_workers() {
     let data: Vec<usize> = (0..256).collect();
     let ((), spans) = with_capture(|| {
         let _stage = span(SpanName::TestPropagate);
+        #[expect(clippy::disallowed_methods, reason = "det: an integer sum is exact in any order")]
         let total: usize = data
             .par_iter()
             .map(|&i| {
@@ -58,6 +59,10 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
     for _attempt in 0..5 {
         let ((), all) = with_capture_all(|| {
             let _stage = span(SpanName::TestDecode);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "det: an integer sum is exact in any order"
+            )]
             let total: usize = data
                 .par_iter()
                 .map(|&i| {

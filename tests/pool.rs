@@ -7,7 +7,7 @@
 
 #![allow(
     clippy::disallowed_methods,
-    reason = "the pool suite observes the worker count it is testing"
+    reason = "the pool suite observes the worker count it is testing, and det: its parallel sum is over integers, exact in any order"
 )]
 
 use proptest::prelude::*;
