@@ -5,7 +5,8 @@ use graphner::banner::NerConfig;
 use graphner::core::{annotations_from_predictions, GraphNer, GraphNerConfig};
 use graphner::corpusgen::{generate, CorpusProfile};
 use graphner::crf::TrainConfig;
-use graphner::eval::evaluate;
+use graphner::eval::{evaluate, Evaluation};
+use graphner::obs::{with_capture, AttrValue, SpanName};
 
 fn quick_cfg() -> NerConfig {
     NerConfig {
@@ -14,11 +15,16 @@ fn quick_cfg() -> NerConfig {
     }
 }
 
+/// `(TP, FP, FN)` of an evaluation's mention totals.
+fn mention_counts(eval: &Evaluation) -> (usize, usize, usize) {
+    (eval.totals.tp, eval.totals.fp(), eval.totals.fn_())
+}
+
 #[test]
 fn graphner_is_competitive_with_base_crf_on_bc2gm_profile() {
     let corpus = generate(&CorpusProfile::bc2gm().scaled(0.03));
     let (model, _) = GraphNer::train(&corpus.train, &quick_cfg(), None, GraphNerConfig::default());
-    let out = model.test(&corpus.test.without_tags());
+    let (out, spans) = with_capture(|| model.test(&corpus.test.without_tags()));
 
     let base = evaluate(
         &annotations_from_predictions(&corpus.test, &out.base_predictions),
@@ -38,6 +44,22 @@ fn graphner_is_competitive_with_base_crf_on_bc2gm_profile() {
         graph.f_score(),
         base.f_score()
     );
+
+    // Exact pins: training, features, PMI, k-NN, propagation and decode
+    // are all deterministic at any thread count, so any change to these
+    // integers is a change to the pipeline's output. The candidate-pair
+    // count is read from the `graph.knn` span: it is this call's
+    // increment of the process-wide `knn.candidate_pairs` counter, which
+    // tests running concurrently in this binary also advance.
+    let knn = spans.iter().find(|s| s.name == SpanName::GraphKnn.as_str()).expect("graph.knn span");
+    let candidate_pairs = match knn.attr("knn.candidate_pairs") {
+        Some(AttrValue::U64(n)) => *n,
+        other => panic!("knn.candidate_pairs attribute missing: {other:?}"),
+    };
+    assert_eq!(mention_counts(&base), (67, 8, 10), "base CRF mention TP/FP/FN");
+    assert_eq!(mention_counts(&graph), (70, 9, 7), "GraphNER mention TP/FP/FN");
+    assert_eq!((out.stats.num_vertices, out.stats.num_edges), (2181, 21810), "graph size");
+    assert_eq!(candidate_pairs, 4_176_784, "k-NN candidate pairs");
 }
 
 #[test]
