@@ -6,13 +6,16 @@
 //! features from unlabelled data). Both are reproduced here on top of
 //! `graphner-crf` and `graphner-embed`; the [`NerModel`] API exposes
 //! exactly what GraphNER needs — posteriors, transition probabilities,
-//! and Viterbi predictions — plus the raw feature strings used to build
-//! the *All-features* similarity graph.
+//! and Viterbi predictions. [`TokenFeatures`] featurizes a whole corpus
+//! once into integer ids that CRF training, posterior extraction and
+//! the similarity graph's vertex vectors all read.
 
 pub mod features;
 pub mod model;
+pub mod table;
 
 pub use features::{
     extract_features, DistributionalConfig, DistributionalResources, FeatureIndex, FeatureSet,
 };
 pub use model::{BaseSystem, NerConfig, NerModel};
+pub use table::TokenFeatures;

@@ -6,9 +6,9 @@
 //! tag-level transition matrix, and Viterbi predictions.
 
 use crate::features::{extract_features, DistributionalResources, FeatureIndex, FeatureSet};
+use crate::table::TokenFeatures;
 use graphner_crf::{ChainCrf, Order, SentenceFeatures, TrainConfig, TrainReport};
 use graphner_text::{BioTag, Corpus, Sentence, Tagger, NUM_TAGS};
-use rustc_hash::FxHashMap;
 
 /// Which published system the model reproduces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,36 +69,43 @@ impl NerModel {
         cfg: &NerConfig,
         dist: Option<DistributionalResources>,
     ) -> (NerModel, TrainReport) {
+        let sentences: Vec<&Sentence> = corpus.sentences.iter().collect();
+        let features = TokenFeatures::build(&sentences, FeatureSet::All, dist.as_ref());
+        NerModel::train_with_features(corpus, &features, cfg, dist)
+    }
+
+    /// [`NerModel::train`] on a corpus already featurized: `features`
+    /// must be the [`FeatureSet::All`] table of `corpus` built with
+    /// `dist`. Counting, the frequency cutoff and the CRF input all read
+    /// the table, so no token is extracted again.
+    ///
+    /// # Panics
+    /// Panics if the corpus is not fully labelled or the table holds a
+    /// different number of sentences or another feature set.
+    pub fn train_with_features(
+        corpus: &Corpus,
+        features: &TokenFeatures,
+        cfg: &NerConfig,
+        dist: Option<DistributionalResources>,
+    ) -> (NerModel, TrainReport) {
         assert!(corpus.fully_labelled(), "training corpus must be fully labelled");
+        assert_eq!(features.num_sentences(), corpus.len(), "feature table is of another corpus");
+        assert_eq!(features.feature_set(), FeatureSet::All, "the CRF reads the full feature set");
         let system = if dist.is_some() { BaseSystem::BannerChemDner } else { BaseSystem::Banner };
-
-        // Pass 1: count feature occurrences.
-        let mut counts: FxHashMap<String, u32> = FxHashMap::default();
-        let mut buf = Vec::new();
-        for sentence in &corpus.sentences {
-            for i in 0..sentence.len() {
-                extract_features(sentence, i, FeatureSet::All, dist.as_ref(), &mut buf);
-                for f in &buf {
-                    *counts.entry(f.clone()).or_insert(0) += 1;
-                }
-            }
-        }
-        let index = FeatureIndex::build(&counts, cfg.min_feature_count);
-
-        // Pass 2: extract id features.
-        let mut model = NerModel { system, index, crf: ChainCrf::new(cfg.order, 0), dist };
+        let (index, crf_ids) = features.feature_index(cfg.min_feature_count);
         let data: Vec<SentenceFeatures> = corpus
             .sentences
             .iter()
-            .map(|s| {
-                let mut sf = model.featurize(s);
-                sf.gold = s.tags.clone();
+            .enumerate()
+            .map(|(s, sentence)| {
+                let mut sf = features.sentence_features(s, &crf_ids);
+                sf.gold = sentence.tags.clone();
                 sf
             })
             .collect();
-        model.crf = ChainCrf::new(cfg.order, model.index.len());
-        let report = model.crf.train(&data, &cfg.train);
-        (model, report)
+        let mut crf = ChainCrf::new(cfg.order, index.len());
+        let report = crf.train(&data, &cfg.train);
+        (NerModel { system, index, crf, dist }, report)
     }
 
     /// Reassemble a plain-BANNER model from persisted parts: the frozen
@@ -138,13 +145,9 @@ impl NerModel {
         &self.crf
     }
 
-    /// Feature strings firing at `(sentence, i)` — the raw material of
-    /// the *All-features* graph vertex representation.
-    pub fn feature_strings(&self, sentence: &Sentence, i: usize, out: &mut Vec<String>) {
-        extract_features(sentence, i, FeatureSet::All, self.dist.as_ref(), out);
-    }
-
-    /// Map a sentence to interned observation features.
+    /// Map a sentence to interned observation features. The serve path
+    /// for novel text; corpus-level callers read a [`TokenFeatures`]
+    /// table instead.
     pub fn featurize(&self, sentence: &Sentence) -> SentenceFeatures {
         let mut buf = Vec::new();
         let obs = (0..sentence.len())
@@ -158,18 +161,28 @@ impl NerModel {
 
     /// Viterbi prediction.
     pub fn predict(&self, sentence: &Sentence) -> Vec<BioTag> {
-        if sentence.is_empty() {
+        self.predict_features(&self.featurize(sentence))
+    }
+
+    /// Viterbi prediction from already-featurized input.
+    pub fn predict_features(&self, features: &SentenceFeatures) -> Vec<BioTag> {
+        if features.is_empty() {
             return Vec::new();
         }
-        self.crf.viterbi(&self.featurize(sentence))
+        self.crf.viterbi(features)
     }
 
     /// Per-token tag posteriors `P_s` (Algorithm 1, line 5).
     pub fn posteriors(&self, sentence: &Sentence) -> Vec<[f64; NUM_TAGS]> {
-        if sentence.is_empty() {
+        self.posteriors_features(&self.featurize(sentence))
+    }
+
+    /// Per-token tag posteriors from already-featurized input.
+    pub fn posteriors_features(&self, features: &SentenceFeatures) -> Vec<[f64; NUM_TAGS]> {
+        if features.is_empty() {
             return Vec::new();
         }
-        self.crf.posteriors(&self.featurize(sentence))
+        self.crf.posteriors(features)
     }
 
     /// Tag-level transition probabilities `T_s` (Algorithm 1, line 5).

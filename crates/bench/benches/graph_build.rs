@@ -18,13 +18,17 @@ fn synthetic_counts(
         state ^= state << 17;
         state
     };
-    let mut counts = VertexFeatureCounts::new();
-    for v in 0..num_vertices {
-        for _ in 0..feats_per_vertex {
-            counts.add(v, (next() % num_features as u64) as u32, 1.0 + (next() % 3) as f64);
-        }
-    }
-    counts
+    let occurrences = (0..num_vertices)
+        .map(|_| {
+            let mut features = Vec::new();
+            for _ in 0..feats_per_vertex {
+                let f = (next() % num_features as u64) as u32;
+                features.extend(std::iter::repeat_n(f, 1 + (next() % 3) as usize));
+            }
+            features
+        })
+        .collect();
+    VertexFeatureCounts::from_occurrences(occurrences)
 }
 
 fn bench_graph_build(c: &mut Criterion) {

@@ -19,11 +19,11 @@ use crate::config::GraphNerConfig;
 use crate::pipeline::TestSession;
 use crate::stats::GraphStats;
 use crate::timings::TestTimings;
-use graphner_banner::{DistributionalResources, NerConfig, NerModel};
+use graphner_banner::{DistributionalResources, FeatureSet, NerConfig, NerModel, TokenFeatures};
 use graphner_crf::TrainReport;
 use graphner_graph::LabelDist;
 use graphner_obs::Stopwatch;
-use graphner_text::{BioTag, Corpus, TrigramInterner, NUM_TAGS};
+use graphner_text::{BioTag, Corpus, Sentence, TrigramInterner, NUM_TAGS};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -50,6 +50,10 @@ pub struct GraphNer {
     /// called once per ablation row by the sweep binaries — share it
     /// instead of copying every sentence.
     pub(crate) train_corpus: Arc<Corpus>,
+    /// The [`FeatureSet::All`] table of the train corpus, built once for
+    /// CRF training and extended with `D_u` by each test session. Shared
+    /// like `train_corpus`.
+    pub(crate) train_features: Arc<TokenFeatures>,
 }
 
 /// Prior-scaled, tempered, bounded empirical transition factors
@@ -144,7 +148,9 @@ impl GraphNer {
         cfg: GraphNerConfig,
     ) -> (GraphNer, TrainOutput) {
         let t0 = Stopwatch::start();
-        let (base, report) = NerModel::train(train, base_cfg, dist);
+        let sentences: Vec<&Sentence> = train.sentences.iter().collect();
+        let train_features = TokenFeatures::build(&sentences, FeatureSet::All, dist.as_ref());
+        let (base, report) = NerModel::train_with_features(train, &train_features, base_cfg, dist);
         let crf_seconds = t0.elapsed_seconds();
 
         // Line 3: X_ref(v) = average gold label distribution of every
@@ -188,6 +194,7 @@ impl GraphNer {
                 x_ref,
                 transitions,
                 train_corpus: Arc::new(train.clone()),
+                train_features: Arc::new(train_features),
             },
             TrainOutput { report, crf_seconds, ref_seconds },
         )
@@ -231,6 +238,7 @@ impl GraphNer {
             x_ref: self.x_ref.clone(),
             transitions,
             train_corpus: Arc::clone(&self.train_corpus),
+            train_features: Arc::clone(&self.train_features),
         }
     }
 

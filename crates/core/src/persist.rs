@@ -24,7 +24,7 @@
 
 use crate::config::{GraphFeatureSet, GraphNerConfig};
 use crate::model::GraphNer;
-use graphner_banner::{BaseSystem, FeatureIndex, NerModel};
+use graphner_banner::{BaseSystem, FeatureIndex, FeatureSet, NerModel, TokenFeatures};
 use graphner_crf::{ChainCrf, Order};
 use graphner_graph::{LabelDist, PropagationParams};
 use graphner_text::{BioTag, Corpus, Sentence, Trigram, TrigramInterner, Vocab, NUM_TAGS};
@@ -392,7 +392,11 @@ pub fn read_model<R: Read>(r: &mut R) -> Result<GraphNer, PersistError> {
     let interner = get_interner(r)?;
     let base = get_base(r)?;
     let train_corpus = Arc::new(get_corpus(r)?);
-    Ok(GraphNer { base, cfg, interner, x_ref, transitions, train_corpus })
+    // the feature table is derived data: rebuilt, not stored
+    let sentences: Vec<&Sentence> = train_corpus.sentences.iter().collect();
+    let train_features =
+        Arc::new(TokenFeatures::build(&sentences, FeatureSet::All, base.distributional()));
+    Ok(GraphNer { base, cfg, interner, x_ref, transitions, train_corpus, train_features })
 }
 
 /// Save a trained model to a file.

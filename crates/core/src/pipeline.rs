@@ -17,6 +17,10 @@
 //! the CRF posteriors over `D_l ∪ D_u` — by far the dominant cost — and
 //! the PMI vectors for every row. A session caches
 //!
+//! * the feature table of `D_l ∪ D_u` ([`CorpusFeatures`]): the model's
+//!   train table extended with `D_u`, so each token is featurized once
+//!   per session and posteriors, the MI filter and the All / `MI > τ`
+//!   graphs read integer ids from it,
 //! * the corpus posteriors (config-independent),
 //! * the grown interner (its content is feature-set-independent),
 //! * PMI vertex vectors per [`GraphFeatureSet`],
@@ -33,7 +37,7 @@
 
 use crate::check;
 use crate::config::{GraphFeatureSet, GraphNerConfig};
-use crate::graphbuild::{build_vertex_vectors, knn_from_vectors};
+use crate::graphbuild::{build_vertex_vectors, knn_from_vectors, CorpusFeatures};
 use crate::model::{empirical_transitions, GraphNer, TestOutput};
 use crate::stats::GraphStats;
 use crate::timings::TestTimings;
@@ -75,16 +79,31 @@ fn all_sentences<'s>(model: &'s GraphNer, test: &'s Corpus) -> Vec<&'s Sentence>
     model.train_corpus.sentences.iter().chain(test.sentences.iter()).collect()
 }
 
+/// The feature table of `D_l ∪ D_u`: the model's train table extended
+/// with the test sentences, so only `D_u` is extracted.
+fn corpus_features(model: &GraphNer, test: &Corpus) -> CorpusFeatures {
+    let test: Vec<&Sentence> = test.sentences.iter().collect();
+    CorpusFeatures::extend(&model.base, &model.train_features, &test)
+}
+
 /// Line 5: CRF posterior extraction over `D_l ∪ D_u`.
 pub struct PosteriorStage;
 
 impl PosteriorStage {
     /// Run the base CRF's forward-backward over every sentence (rayon
-    /// over sentences).
+    /// over sentences). One-shot form of [`PosteriorStage::run_on`]: it
+    /// featurizes `D_u` first.
     pub fn run(model: &GraphNer, test: &Corpus) -> CorpusPosteriors {
-        let sentences = all_sentences(model, test);
-        let per_sentence: Vec<Vec<LabelDist>> =
-            sentences.par_iter().map(|s| model.base.posteriors(s)).collect();
+        PosteriorStage::run_on(model, &corpus_features(model, test))
+    }
+
+    /// Run the base CRF's forward-backward over every sentence of
+    /// `features`, the feature table of `D_l ∪ D_u`.
+    pub fn run_on(model: &GraphNer, features: &CorpusFeatures) -> CorpusPosteriors {
+        let per_sentence: Vec<Vec<LabelDist>> = (0..features.table.num_sentences())
+            .into_par_iter()
+            .map(|s| model.base.posteriors_features(&features.sentence(s)))
+            .collect();
         if cfg!(debug_assertions) {
             for rows in &per_sentence {
                 check::assert_distributions("CRF posteriors (PosteriorStage)", rows);
@@ -99,15 +118,17 @@ pub struct GraphStage;
 
 impl GraphStage {
     /// Build the PMI vertex vectors for a feature set, interning every
-    /// 3-gram of `D_l ∪ D_u` into `interner`. K-independent.
+    /// 3-gram of `D_l ∪ D_u` into `interner`. K-independent. One-shot
+    /// form of the session's graph build: it featurizes `D_u` first.
     pub fn vectors(
         model: &GraphNer,
         interner: &mut TrigramInterner,
         test: &Corpus,
         feature_set: GraphFeatureSet,
     ) -> Vec<SparseVec> {
+        let features = corpus_features(model, test);
         let sentences = all_sentences(model, test);
-        build_vertex_vectors(&model.base, interner, &sentences, feature_set)
+        build_vertex_vectors(&model.base, &features, interner, &sentences, feature_set)
     }
 
     /// Connect precomputed vectors into the K-nearest-neighbour graph.
@@ -278,6 +299,9 @@ pub struct TestSession<'a> {
     /// Starts as the model's train-time interner (so vertex ids agree
     /// with `X_ref`) and grows to cover `D_u` on the first graph build.
     interner: TrigramInterner,
+    /// The feature table of `D_l ∪ D_u`, which posteriors, the MI filter
+    /// and the All / `MI > τ` graphs read.
+    features: Option<CorpusFeatures>,
     posteriors: Option<CorpusPosteriors>,
     /// PMI vectors per [`GraphFeatureSet::cache_key`].
     vectors: FxHashMap<(u8, u64), Vec<SparseVec>>,
@@ -300,6 +324,7 @@ impl<'a> TestSession<'a> {
             model,
             test,
             interner: model.interner.clone(),
+            features: None,
             posteriors: None,
             vectors: FxHashMap::default(),
             graphs: FxHashMap::default(),
@@ -327,8 +352,10 @@ impl<'a> TestSession<'a> {
     fn ensure_posteriors(&mut self) {
         if self.posteriors.is_none() {
             let _s = span(SpanName::TestPosteriors);
-            attr("corpus.sentences", self.model.train_corpus.len() + self.test.len());
-            self.posteriors = Some(PosteriorStage::run(self.model, self.test));
+            let (model, test) = (self.model, self.test);
+            attr("corpus.sentences", model.train_corpus.len() + test.len());
+            let features = self.features.get_or_insert_with(|| corpus_features(model, test));
+            self.posteriors = Some(PosteriorStage::run_on(model, features));
         }
     }
 
@@ -341,7 +368,16 @@ impl<'a> TestSession<'a> {
         // vectors when the feature set is new, plus the k-NN pass
         let _s = span(SpanName::TestGraph);
         if !self.vectors.contains_key(&fs_key) {
-            let v = GraphStage::vectors(self.model, &mut self.interner, self.test, feature_set);
+            let (model, test) = (self.model, self.test);
+            let features = self.features.get_or_insert_with(|| corpus_features(model, test));
+            let sentences = all_sentences(model, test);
+            let v = build_vertex_vectors(
+                &model.base,
+                features,
+                &mut self.interner,
+                &sentences,
+                feature_set,
+            );
             self.vectors.insert(fs_key, v);
         }
         let graph = GraphStage::connect(&self.vectors[&fs_key], k);

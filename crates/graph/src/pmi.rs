@@ -3,57 +3,89 @@
 //! "A vertex is represented as a vector of pointwise mutual information
 //! between the 3-gram associated with it and possible feature instances
 //! such as surrounding words." Counts of `(vertex, feature instance)`
-//! co-occurrences are accumulated while scanning the corpus, then turned
-//! into positive-PMI vectors (negative PMI clipped to zero, the standard
-//! sparsity-preserving choice) and unit-normalized so the k-NN stage can
-//! use plain dot products as cosine similarity.
+//! co-occurrences are gathered per vertex from the corpus scan, then
+//! turned into positive-PMI vectors (negative PMI clipped to zero, the
+//! standard sparsity-preserving choice) and unit-normalized so the k-NN
+//! stage can use plain dot products as cosine similarity.
+//!
+//! The counts are dense: each vertex holds one run of `(feature, count)`
+//! sorted by feature id, and the vertex and feature totals are vectors
+//! indexed by id. Every count is an integer held in an `f64`, so the
+//! totals are exact in any summation order.
 
 use crate::sparse::SparseVec;
-use rustc_hash::FxHashMap;
+use rayon::prelude::*;
 
-/// Accumulator of vertex–feature co-occurrence counts.
+/// Vertex–feature co-occurrence counts.
 #[derive(Clone, Debug, Default)]
 pub struct VertexFeatureCounts {
-    counts: FxHashMap<(u32, u32), f64>,
-    vertex_total: FxHashMap<u32, f64>,
-    feature_total: FxHashMap<u32, f64>,
+    /// Per vertex: `(feature, count)` sorted by feature id.
+    runs: Vec<Vec<(u32, f64)>>,
+    vertex_total: Vec<f64>,
+    feature_total: Vec<f64>,
     grand_total: f64,
 }
 
 impl VertexFeatureCounts {
-    /// An empty accumulator.
-    pub fn new() -> VertexFeatureCounts {
-        VertexFeatureCounts::default()
+    /// Count co-occurrences from per-vertex occurrence lists:
+    /// `occurrences[v]` names a feature id once per co-occurrence of that
+    /// feature with vertex `v`, in any order.
+    pub fn from_occurrences(occurrences: Vec<Vec<u32>>) -> VertexFeatureCounts {
+        let runs: Vec<Vec<(u32, f64)>> = occurrences
+            .into_par_iter()
+            .map(|mut features| {
+                features.sort_unstable();
+                let mut run: Vec<(u32, f64)> = Vec::new();
+                for f in features {
+                    match run.last_mut() {
+                        Some((last, c)) if *last == f => *c += 1.0,
+                        _ => run.push((f, 1.0)),
+                    }
+                }
+                run
+            })
+            .collect();
+        let mut vertex_total = Vec::with_capacity(runs.len());
+        let mut feature_total: Vec<f64> = Vec::new();
+        for run in &runs {
+            let mut total = 0.0;
+            for &(f, c) in run {
+                let f = f as usize;
+                if f >= feature_total.len() {
+                    feature_total.resize(f + 1, 0.0);
+                }
+                feature_total[f] += c;
+                total += c;
+            }
+            vertex_total.push(total);
+        }
+        let grand_total = vertex_total.iter().sum();
+        VertexFeatureCounts { runs, vertex_total, feature_total, grand_total }
     }
 
-    /// Record one co-occurrence of `feature` with `vertex`, with count
-    /// weight `w` (normally 1.0 per occurrence).
-    pub fn add(&mut self, vertex: u32, feature: u32, w: f64) {
-        debug_assert!(w > 0.0);
-        *self.counts.entry((vertex, feature)).or_insert(0.0) += w;
-        *self.vertex_total.entry(vertex).or_insert(0.0) += w;
-        *self.feature_total.entry(feature).or_insert(0.0) += w;
-        self.grand_total += w;
-    }
-
-    /// Total accumulated weight.
+    /// Total co-occurrence count.
     pub fn total(&self) -> f64 {
         self.grand_total
     }
 
     /// Number of distinct `(vertex, feature)` pairs seen.
     pub fn num_pairs(&self) -> usize {
-        self.counts.len()
+        self.runs.iter().map(Vec::len).sum()
     }
 
     /// Raw PMI of one pair:
     /// `ln( c(v,f)·N / (c(v)·c(f)) )`, or `None` if the pair was never
     /// seen.
     pub fn pmi(&self, vertex: u32, feature: u32) -> Option<f64> {
-        let c_vf = *self.counts.get(&(vertex, feature))?;
-        let c_v = self.vertex_total[&vertex];
-        let c_f = self.feature_total[&feature];
-        Some((c_vf * self.grand_total / (c_v * c_f)).ln())
+        let run = self.runs.get(vertex as usize)?;
+        let at = run.binary_search_by_key(&feature, |&(f, _)| f).ok()?;
+        Some(self.pmi_of(vertex as usize, run[at]))
+    }
+
+    fn pmi_of(&self, vertex: usize, (f, c_vf): (u32, f64)) -> f64 {
+        let c_v = self.vertex_total[vertex];
+        let c_f = self.feature_total[f as usize];
+        (c_vf * self.grand_total / (c_v * c_f)).ln()
     }
 
     /// Build one positive-PMI vector per vertex, unit-normalized.
@@ -61,21 +93,19 @@ impl VertexFeatureCounts {
     /// `num_vertices` sizes the output; vertices with no counts (or only
     /// negative-PMI features) get empty vectors.
     pub fn pmi_vectors(&self, num_vertices: usize) -> Vec<SparseVec> {
-        let mut pairs: Vec<Vec<(u32, f32)>> = vec![Vec::new(); num_vertices];
-        for (&(v, f), &c_vf) in &self.counts {
-            let c_v = self.vertex_total[&v];
-            let c_f = self.feature_total[&f];
-            let pmi = (c_vf * self.grand_total / (c_v * c_f)).ln();
-            if pmi > 0.0 {
-                pairs[v as usize].push((f, pmi as f32));
-            }
-        }
-        pairs
-            .into_iter()
-            .map(|p| {
-                let mut v = SparseVec::from_pairs(p);
-                v.normalize();
-                v
+        (0..num_vertices)
+            .into_par_iter()
+            .map(|v| {
+                let run = self.runs.get(v).map_or(&[][..], Vec::as_slice);
+                let pairs = run
+                    .iter()
+                    .map(|&(f, c)| (f, self.pmi_of(v, (f, c))))
+                    .filter(|&(_, pmi)| pmi > 0.0)
+                    .map(|(f, pmi)| (f, pmi as f32))
+                    .collect();
+                let mut vector = SparseVec::from_pairs(pairs);
+                vector.normalize();
+                vector
             })
             .collect()
     }
@@ -85,15 +115,23 @@ impl VertexFeatureCounts {
 mod tests {
     use super::*;
 
+    /// Occurrence lists from `(vertex, feature, count)` triples.
+    fn counts(triples: &[(u32, u32, usize)]) -> VertexFeatureCounts {
+        let mut occurrences: Vec<Vec<u32>> = Vec::new();
+        for &(v, f, n) in triples {
+            let v = v as usize;
+            if v >= occurrences.len() {
+                occurrences.resize(v + 1, Vec::new());
+            }
+            occurrences[v].extend(std::iter::repeat_n(f, n));
+        }
+        VertexFeatureCounts::from_occurrences(occurrences)
+    }
+
     #[test]
     fn pmi_of_independent_pair_is_zero() {
         // two vertices, two features, perfectly uniform joint: PMI = 0
-        let mut c = VertexFeatureCounts::new();
-        for v in 0..2 {
-            for f in 0..2 {
-                c.add(v, f, 1.0);
-            }
-        }
+        let c = counts(&[(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]);
         for v in 0..2 {
             for f in 0..2 {
                 assert!(c.pmi(v, f).unwrap().abs() < 1e-12);
@@ -103,11 +141,8 @@ mod tests {
 
     #[test]
     fn pmi_positive_for_associated_pair() {
-        let mut c = VertexFeatureCounts::new();
-        c.add(0, 0, 10.0); // vertex 0 strongly associated with feature 0
-        c.add(0, 1, 1.0);
-        c.add(1, 1, 10.0);
-        c.add(1, 0, 1.0);
+        // vertex 0 strongly associated with feature 0
+        let c = counts(&[(0, 0, 10), (0, 1, 1), (1, 1, 10), (1, 0, 1)]);
         assert!(c.pmi(0, 0).unwrap() > 0.0);
         assert!(c.pmi(0, 1).unwrap() < 0.0);
         assert_eq!(c.pmi(0, 2), None);
@@ -115,11 +150,7 @@ mod tests {
 
     #[test]
     fn vectors_are_unit_norm_and_clipped() {
-        let mut c = VertexFeatureCounts::new();
-        c.add(0, 0, 10.0);
-        c.add(0, 1, 1.0);
-        c.add(1, 1, 10.0);
-        c.add(1, 0, 1.0);
+        let c = counts(&[(0, 0, 10), (0, 1, 1), (1, 1, 10), (1, 0, 1)]);
         let vecs = c.pmi_vectors(3);
         assert_eq!(vecs.len(), 3);
         // negative-PMI entries clipped: each vertex keeps only its
@@ -133,19 +164,19 @@ mod tests {
 
     #[test]
     fn similar_vertices_have_high_cosine() {
-        let mut c = VertexFeatureCounts::new();
-        // vertices 0 and 1 share features 10, 11; vertex 2 uses 20, 21
-        for f in [10, 11] {
-            c.add(0, f, 5.0);
-            c.add(1, f, 5.0);
-        }
-        for f in [20, 21] {
-            c.add(2, f, 5.0);
-        }
-        // a shared background feature so totals interact
-        for v in 0..3 {
-            c.add(v, 99, 1.0);
-        }
+        // vertices 0 and 1 share features 10, 11; vertex 2 uses 20, 21;
+        // a shared background feature 99 makes the totals interact
+        let c = counts(&[
+            (0, 10, 5),
+            (1, 10, 5),
+            (0, 11, 5),
+            (1, 11, 5),
+            (2, 20, 5),
+            (2, 21, 5),
+            (0, 99, 1),
+            (1, 99, 1),
+            (2, 99, 1),
+        ]);
         let vecs = c.pmi_vectors(3);
         let sim01 = vecs[0].dot(&vecs[1]);
         let sim02 = vecs[0].dot(&vecs[2]);
@@ -155,10 +186,10 @@ mod tests {
 
     #[test]
     fn totals_track_additions() {
-        let mut c = VertexFeatureCounts::new();
-        c.add(0, 0, 2.0);
-        c.add(0, 1, 3.0);
+        let c = VertexFeatureCounts::from_occurrences(vec![vec![1, 0, 1, 0, 1]]);
         assert_eq!(c.total(), 5.0);
         assert_eq!(c.num_pairs(), 2);
+        // c(0,1) = 3 of N = 5, c(v) = 5, c(f) = 3: PMI 0
+        assert_eq!(c.pmi(0, 1), Some(0.0));
     }
 }

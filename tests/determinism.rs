@@ -15,7 +15,9 @@
 )]
 
 use graphner::banner::NerConfig;
-use graphner::core::{GraphNer, GraphNerConfig, ShardSize, SweepSchedule, TestOutput, TestSession};
+use graphner::core::{
+    GraphFeatureSet, GraphNer, GraphNerConfig, ShardSize, SweepSchedule, TestOutput, TestSession,
+};
 use graphner::corpusgen::{generate, CorpusProfile};
 use graphner::crf::TrainConfig;
 
@@ -69,7 +71,9 @@ fn two_fresh_sessions_produce_byte_identical_output() {
 /// the `GRAPHNER_THREADS=1` child and the `GRAPHNER_THREADS=4` child
 /// must produce byte-identical dumps, which covers CRF training
 /// (parallel gradient reduction), posterior extraction, k-NN
-/// construction, propagation, decoding, and the session cache.
+/// construction, propagation, decoding, and the session cache — for all
+/// three vertex representations, so the parallel feature-table build and
+/// its ordered merge are compared too.
 fn full_pipeline_dump() -> String {
     let corpus = generate(&CorpusProfile::bc2gm().scaled(0.02));
     let (model, report) =
@@ -84,6 +88,14 @@ fn full_pipeline_dump() -> String {
     let variants = [
         GraphNerConfig { k: 5, ..GraphNerConfig::default() },
         GraphNerConfig { alpha: 0.5, ..GraphNerConfig::default() },
+        // the other two vertex representations: each reads the feature
+        // table through its own path (a Lexical table of its own; MI
+        // scores from a Viterbi pass over the shared table)
+        GraphNerConfig { feature_set: GraphFeatureSet::Lexical, ..GraphNerConfig::default() },
+        GraphNerConfig {
+            feature_set: GraphFeatureSet::MiThreshold(0.005),
+            ..GraphNerConfig::default()
+        },
         // sweep-schedule rows: a deliberately awkward fixed shard size,
         // and the active-set scheduler — both must be thread-invariant
         scheduled(ShardSize::Fixed(7), false),
