@@ -3,8 +3,9 @@
 //! The objective handed to L-BFGS is the *negative* penalized CLL
 //! `Σ (log Z(x) − score(gold|x)) + (ℓ2/2)·‖λ‖²`; its gradient is
 //! `expected − observed` feature counts plus `ℓ2·λ`. Per-sentence terms
-//! are independent, so the evaluation is a rayon map-reduce over chunks
-//! of sentences, each chunk accumulating into a private gradient buffer.
+//! are independent, so the evaluation runs in parallel over chunks of
+//! sentences, each chunk accumulating into a private gradient buffer,
+//! and the chunk buffers are summed in chunk order.
 
 use crate::lbfgs::{self, LbfgsConfig, StopReason};
 use crate::model::{ChainCrf, SentenceFeatures};
@@ -50,48 +51,54 @@ impl ChainCrf {
     /// model's current parameters. The gradient is *written* into
     /// `grad` (overwriting its contents).
     pub fn objective(&self, data: &[SentenceFeatures], l2: f64, grad: &mut [f64]) -> f64 {
+        self.objective_in(data, l2, grad, &mut Vec::new())
+    }
+
+    /// [`ChainCrf::objective`], accumulating each chunk of sentences
+    /// into its own `(nll, gradient)` slot of `partials`. The slots are
+    /// sized on first use and reused by later calls with the same data:
+    /// training evaluates the objective once per L-BFGS step, and fresh
+    /// gradient-sized buffers per chunk and step cost an allocation, a
+    /// zeroing pass and (once freed memory is returned to the system)
+    /// the page faults of touching it again.
+    fn objective_in(
+        &self,
+        data: &[SentenceFeatures],
+        l2: f64,
+        grad: &mut [f64],
+        partials: &mut Vec<(f64, Vec<f64>)>,
+    ) -> f64 {
         let n = self.num_params();
         assert_eq!(grad.len(), n);
         let exp_trans = self.exp_transitions();
         // The chunk size must be a pure function of the data length —
-        // never of the worker count. The reduction below regroups its
-        // float sums at chunk boundaries, so thread-count-dependent
-        // boundaries would make the trained bits depend on the machine;
-        // length-only boundaries keep training byte-identical at any
+        // never of the worker count. The merge below regroups its float
+        // sums at chunk boundaries, so thread-count-dependent boundaries
+        // would make the trained bits depend on the machine; length-only
+        // boundaries keep training byte-identical at any
         // GRAPHNER_THREADS setting.
         let chunk = data.len().div_ceil(64).max(1);
-
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "det: chunk boundaries are a pure function of data length (see above) \
-                      and the pool merges slots in index order, so this float regrouping \
-                      is fixed for a given corpus"
-        )]
-        let (nll, g) = data
-            .par_chunks(chunk)
-            .map(|sentences| {
-                let mut g = vec![0.0; n];
-                let mut nll = 0.0;
-                for sent in sentences {
-                    if sent.is_empty() {
-                        continue;
-                    }
-                    nll += self.accumulate_sentence(sent, &exp_trans, &mut g);
+        partials.resize_with(data.len().div_ceil(chunk), || (0.0, vec![0.0; n]));
+        partials.par_iter_mut().zip(data.par_chunks(chunk)).for_each(|((nll, g), sentences)| {
+            *nll = 0.0;
+            g.fill(0.0);
+            for sent in sentences {
+                if sent.is_empty() {
+                    continue;
                 }
-                (nll, g)
-            })
-            .reduce(
-                || (0.0, vec![0.0; n]),
-                |(nll_a, mut ga), (nll_b, gb)| {
-                    for (a, b) in ga.iter_mut().zip(&gb) {
-                        *a += b;
-                    }
-                    (nll_a + nll_b, ga)
-                },
-            );
+                *nll += self.accumulate_sentence(sent, &exp_trans, g);
+            }
+        });
 
-        grad.copy_from_slice(&g);
-        let mut obj = nll;
+        // merge the chunks sequentially, in chunk order
+        let mut obj = 0.0;
+        grad.fill(0.0);
+        for (nll, g) in partials.iter() {
+            obj += nll;
+            for (a, b) in grad.iter_mut().zip(g) {
+                *a += b;
+            }
+        }
         let params = self.params();
         for i in 0..n {
             obj += 0.5 * l2 * params[i] * params[i];
@@ -181,6 +188,7 @@ impl ChainCrf {
         attr("train.sentences", data.len());
         attr("train.params", self.num_params());
         let mut scratch = self.clone();
+        let mut partials = Vec::new();
         let x0 = self.params().to_vec();
         let lcfg = LbfgsConfig {
             memory: cfg.memory,
@@ -192,7 +200,7 @@ impl ChainCrf {
         let result = lbfgs::minimize(
             |x, grad| {
                 scratch.params_mut().copy_from_slice(x);
-                scratch.objective(data, cfg.l2, grad)
+                scratch.objective_in(data, cfg.l2, grad, &mut partials)
             },
             x0,
             &lcfg,
