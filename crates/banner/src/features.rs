@@ -4,9 +4,9 @@
 //! set; BANNER-ChemDNER adds distributional features (Brown cluster path
 //! prefixes and embedding-cluster ids) learned from unlabelled text.
 //! Features are generated as strings (template `=` value), counted over
-//! the training corpus, and frozen into a dense [`FeatureIndex`] with a
-//! frequency cutoff; at prediction time unseen features are silently
-//! dropped, as in any CRF tagger.
+//! the training corpus ([`crate::TokenFeatures`]), and frozen into a
+//! dense [`FeatureIndex`] with a frequency cutoff; at prediction time
+//! unseen features are silently dropped, as in any CRF tagger.
 
 use graphner_embed::{
     brown_cluster, kmeans, train_sgns, BrownClustering, BrownConfig, KMeansConfig, SgnsConfig,
@@ -207,7 +207,10 @@ pub struct FeatureIndex {
 
 impl FeatureIndex {
     /// Build from a counting pass: keep features occurring at least
-    /// `min_count` times.
+    /// `min_count` times. The string-path oracle of
+    /// [`TokenFeatures::feature_index`](crate::TokenFeatures::feature_index),
+    /// which builds the library's indexes.
+    #[cfg(test)]
     pub fn build(counts: &FxHashMap<String, u32>, min_count: u32) -> FeatureIndex {
         let mut kept: Vec<&String> =
             counts.iter().filter(|&(_, &c)| c >= min_count).map(|(f, _)| f).collect();
