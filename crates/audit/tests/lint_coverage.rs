@@ -1,9 +1,7 @@
-//! Coverage tripwires for the policy lints in `[workspace.lints]`: a
+//! Coverage tripwire for the policy lints in `[workspace.lints]`: a
 //! workspace member whose manifest lacks `[lints] workspace = true` is
 //! silently exempt from every one of them, so a new crate fails here
-//! until it opts in; and a `clippy.toml` path that no longer names a
-//! function only draws a warning clippy does not promote to an error,
-//! so the parallel-merge entries are pinned here against the pool.
+//! until it opts in.
 
 use std::path::{Path, PathBuf};
 
@@ -72,28 +70,4 @@ fn only_a_lints_table_with_workspace_true_counts() {
     assert!(!inherits_workspace_lints("[package]\nname = \"x\"\n"));
     assert!(!inherits_workspace_lints("[lints]\n[dependencies]\nworkspace = true\n"));
     assert!(!inherits_workspace_lints("[lints.clippy]\nworkspace = true\n"));
-}
-
-/// The parallel-merge policy (DESIGN.md §9): `disallowed-methods`
-/// names `ParIter::reduce` and `ParIter::sum`, and the vendored pool
-/// still defines both there. A rename on either side would otherwise
-/// switch the check off silently.
-#[test]
-fn parallel_merges_stay_disallowed_methods() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
-    let disallowed = clippy.split("disallowed-methods").nth(1).unwrap_or_default();
-    for path in ["rayon::ParIter::reduce", "rayon::ParIter::sum"] {
-        assert!(
-            disallowed.contains(&format!("path = \"{path}\"")),
-            "clippy.toml disallowed-methods lacks {path}"
-        );
-    }
-
-    let pool = std::fs::read_to_string(root.join("vendor/rayon/src/lib.rs")).expect("pool source");
-    let par_iter = pool.split("impl<P: Pipeline> ParIter<P> {").nth(1).unwrap_or_default();
-    let body = &par_iter[..par_iter.find("\n}\n").unwrap_or(par_iter.len())];
-    for method in ["pub fn reduce", "pub fn sum"] {
-        assert!(body.contains(method), "ParIter no longer defines `{method}`");
-    }
 }

@@ -102,22 +102,14 @@ impl RunOptions {
 }
 
 /// Snapshot the worker pool's counters into the global metric registry:
-/// `rayon.pool.threads` (gauge), `rayon.pool.jobs`, `rayon.pool.chunks`,
-/// `rayon.pool.chunks_on_workers`, and one `rayon.pool.idle_wait.*`
-/// counter per histogram bucket.
+/// `rayon.pool.threads` (gauge), `rayon.pool.jobs`, `rayon.pool.chunks`
+/// and `rayon.pool.chunks_on_workers`.
 pub fn publish_pool_metrics() {
     let stats = rayon::pool_stats();
     graphner_obs::gauge("rayon.pool.threads").set(stats.threads as f64);
     graphner_obs::counter("rayon.pool.jobs").add(stats.jobs_submitted);
     graphner_obs::counter("rayon.pool.chunks").add(stats.chunks_executed);
     graphner_obs::counter("rayon.pool.chunks_on_workers").add(stats.chunks_on_workers);
-    for (i, &count) in stats.idle_waits.iter().enumerate() {
-        let name = match rayon::IDLE_BUCKET_EDGES_US.get(i) {
-            Some(edge) => format!("rayon.pool.idle_wait.le_{edge}us"),
-            None => "rayon.pool.idle_wait.inf".to_string(),
-        };
-        graphner_obs::counter(&name).add(count);
-    }
 }
 
 /// End-of-run observability flush, called last by every experiment

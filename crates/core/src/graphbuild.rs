@@ -22,6 +22,7 @@ use graphner_graph::{knn_inverted_index, KnnGraph, SparseVec, VertexFeatureCount
 use graphner_obs::{obs_debug, obs_summary, span, SpanName};
 use graphner_text::{exactly_zero, BioTag, Sentence, TrigramInterner, NUM_TAGS};
 use rayon::prelude::*;
+#[cfg(test)]
 use rustc_hash::FxHashMap;
 
 /// The [`FeatureSet::All`] table of a corpus, with the base CRF's
@@ -38,6 +39,7 @@ pub struct CorpusFeatures {
 
 impl CorpusFeatures {
     /// Featurize `sentences` with the model's feature extractor.
+    #[cfg(test)]
     pub fn build(model: &NerModel, sentences: &[&Sentence]) -> CorpusFeatures {
         let table = TokenFeatures::build(sentences, FeatureSet::All, model.distributional());
         CorpusFeatures::bind(model, table)
@@ -64,9 +66,9 @@ impl CorpusFeatures {
     }
 }
 
-/// Mutual information between a binary feature's presence and the tag
-/// the base CRF assigns, over all token occurrences. Used by the
-/// `MI > τ` vertex representations of Table III.
+/// [`table_mi`] keyed by feature string: the table path's view for the
+/// string-path oracle in the tests.
+#[cfg(test)]
 pub fn feature_tag_mi(model: &NerModel, sentences: &[&Sentence]) -> FxHashMap<String, f64> {
     let features = CorpusFeatures::build(model, sentences);
     table_mi(model, &features)
@@ -76,8 +78,11 @@ pub fn feature_tag_mi(model: &NerModel, sentences: &[&Sentence]) -> FxHashMap<St
         .collect()
 }
 
-/// [`feature_tag_mi`] per table id: counts are dense per id, and the
-/// tags are the CRF's Viterbi decode of the table's CRF ids.
+/// Mutual information between a binary feature's presence and the tag
+/// the base CRF assigns, over all token occurrences, per table id. Used
+/// by the `MI > τ` vertex representations of Table III. Counts are
+/// dense per id, and the tags are the CRF's Viterbi decode of the
+/// table's CRF ids.
 fn table_mi(model: &NerModel, features: &CorpusFeatures) -> Vec<f64> {
     let table = &features.table;
     let tags: Vec<Vec<BioTag>> = (0..table.num_sentences())
@@ -235,9 +240,10 @@ pub fn knn_from_vectors(vectors: &[SparseVec], k: usize) -> KnnGraph {
 /// graph's vertex ids are the interner's.
 ///
 /// One-shot composition of [`build_vertex_vectors`] and
-/// [`knn_from_vectors`]; staged callers (the session cache in
-/// [`crate::pipeline`]) invoke the pieces directly so the vectors can
+/// [`knn_from_vectors`] for the tests; the session cache in
+/// [`crate::pipeline`] invokes the pieces directly so the vectors can
 /// be reused across K sweeps.
+#[cfg(test)]
 pub fn build_graph(
     model: &NerModel,
     interner: &mut TrigramInterner,

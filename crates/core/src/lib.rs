@@ -37,9 +37,7 @@ pub mod stats;
 pub mod timings;
 
 pub use config::{ConfigError, GraphFeatureSet, GraphNerConfig, ServeConfig};
-pub use graphbuild::{
-    build_graph, build_vertex_vectors, feature_tag_mi, knn_from_vectors, CorpusFeatures,
-};
+pub use graphbuild::{build_vertex_vectors, knn_from_vectors, CorpusFeatures};
 // the propagation-schedule knobs carried on `GraphNerConfig`, re-exported
 // so config users need not depend on graphner-graph directly
 pub use graphner_graph::{ShardSize, SweepSchedule};

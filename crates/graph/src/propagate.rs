@@ -387,9 +387,10 @@ pub fn propagate_partitioned(
 
 /// The pre-shard-engine implementation, kept as the test-only parity
 /// oracle: one monolithic parallel sweep over all vertices followed by
-/// a separate parallel residual reduction. [`propagate_partitioned`]
-/// with `active_set = false` must match its output byte-for-byte at any
-/// shard size — the tests below property-check exactly that.
+/// a sequential max over the collected per-vertex changes.
+/// [`propagate_partitioned`] with `active_set = false` must match its
+/// output byte-for-byte at any shard size — the tests below
+/// property-check exactly that.
 #[cfg(test)]
 #[expect(
     clippy::cast_possible_truncation,
@@ -427,17 +428,12 @@ fn propagate_reference(
                 *dst = jacobi_update(graph, i, x_read, &x0, x_ref, &weight_sums, params, nu_term);
             });
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "det: f64::max is exact and associative-commutative over non-NaN \
-                      inputs, so the merge order cannot change the bits"
-        )]
-        let sweep_residual = x
+        let changes: Vec<f64> = x
             .par_iter()
             .zip(buf.par_iter())
             .map(|(a, b)| a.iter().zip(b).map(|(p, q)| (p - q).abs()).fold(0.0f64, f64::max))
-            .reduce(|| 0.0, f64::max);
-        residual = sweep_residual;
+            .collect();
+        residual = changes.into_iter().fold(0.0, f64::max);
         std::mem::swap(x, &mut buf);
     }
     PropagationReport {

@@ -20,15 +20,14 @@ fn capture_isolates_current_thread_from_rayon_workers() {
     let data: Vec<usize> = (0..256).collect();
     let ((), spans) = with_capture(|| {
         let _stage = span(SpanName::TestPropagate);
-        #[expect(clippy::disallowed_methods, reason = "det: an integer sum is exact in any order")]
-        let total: usize = data
+        let items: Vec<usize> = data
             .par_iter()
             .map(|&i| {
                 let _worker = span(SpanName::GraphPmi);
                 i
             })
-            .sum();
-        assert_eq!(total, 256 * 255 / 2);
+            .collect();
+        assert_eq!(items.iter().sum::<usize>(), 256 * 255 / 2);
     });
     // the outer stage span is always captured…
     assert_eq!(spans.iter().filter(|s| s.name == "test.propagate").count(), 1);
@@ -59,11 +58,7 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
     for _attempt in 0..5 {
         let ((), all) = with_capture_all(|| {
             let _stage = span(SpanName::TestDecode);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "det: an integer sum is exact in any order"
-            )]
-            let total: usize = data
+            let items: Vec<usize> = data
                 .par_iter()
                 .map(|&i| {
                     let _worker = span(SpanName::GraphKnn);
@@ -73,8 +68,8 @@ fn capture_all_sees_the_worker_spans_with_capture_hides() {
                     }
                     i
                 })
-                .sum();
-            assert_eq!(total, 256 * 255 / 2);
+                .collect();
+            assert_eq!(items.iter().sum::<usize>(), 256 * 255 / 2);
         });
         // Filter by name: with_capture_all's window also catches spans
         // from unrelated concurrent tests in this binary (documented

@@ -13,7 +13,7 @@
 //! immediately, an expired deadline answers 503 — so every accepted
 //! request is *answered*, never silently dropped.
 
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -30,7 +30,8 @@ use crate::queue::{BoundedQueue, PushError};
 
 /// How long a connection read blocks before the handler re-checks the
 /// shutdown flag — bounds both shutdown latency and how long an idle
-/// keep-alive connection pins its thread.
+/// keep-alive connection pins its thread. A request that has begun and
+/// then stalls this long gets 408 and a closed connection.
 const CONNECTION_POLL: Duration = Duration::from_millis(500);
 
 /// Cached handles to every serve-path metric, so the hot path never
@@ -236,6 +237,18 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
         if ctx.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        // Wait for the next request's first byte before parsing: the
+        // parser consumes what it reads, so only a timeout with nothing
+        // buffered can be retried.
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(_) => {}
+            Err(e) if timed_out(&e) || e.kind() == std::io::ErrorKind::Interrupted => {
+                // idle keep-alive poll: re-check the shutdown flag
+                continue;
+            }
+            Err(_) => return,
+        }
         match read_request(&mut reader) {
             Ok(request) => {
                 let close = request.wants_close();
@@ -244,14 +257,17 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
                 }
             }
             Err(HttpError::Eof) => return,
-            Err(HttpError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // idle keep-alive poll: re-check the shutdown flag
-                continue;
+            Err(HttpError::Io(e)) if timed_out(&e) => {
+                // the request stalled part-way and its bytes so far are
+                // consumed, so the stream cannot be resynchronised:
+                // answer and close
+                let _ = write_response(
+                    &mut writer,
+                    408,
+                    &[("Connection", "close")],
+                    b"request stalled before it was complete\n",
+                );
+                return;
             }
             Err(HttpError::Io(_)) => return,
             Err(HttpError::BodyTooLarge(_)) => {
@@ -291,6 +307,11 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
             }
         }
     }
+}
+
+/// Whether a read failed only because the socket's read timeout fired.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
 /// Route one parsed request and write the response.

@@ -2,12 +2,14 @@
 //!
 //! The pool's determinism argument (DESIGN.md §10) rests on two
 //! properties checked here from outside the crate: chunk boundaries
-//! are a pure function of input length, and parallel `map` + `collect`
-//! preserves input order exactly.
+//! are a pure function of input length, and the two terminal
+//! operations keep to source order: `collect` concatenates chunks in
+//! index order, and `for_each` over `par_iter_mut` writes each slot
+//! exactly once.
 
 #![allow(
     clippy::disallowed_methods,
-    reason = "the pool suite observes the worker count it is testing, and det: its parallel sum is over integers, exact in any order"
+    reason = "the pool suite observes the worker count it is testing"
 )]
 
 use proptest::prelude::*;
@@ -32,7 +34,6 @@ fn pool_reports_at_least_one_thread() {
     assert!(rayon::current_num_threads() >= 1);
     let stats = rayon::pool_stats();
     assert_eq!(stats.threads, rayon::current_num_threads());
-    assert_eq!(stats.idle_waits.len(), rayon::IDLE_BUCKETS);
 }
 
 proptest! {
@@ -45,13 +46,45 @@ proptest! {
         prop_assert_eq!(parallel, sequential);
     }
 
-    /// Associative-commutative reduction must match the sequential sum
-    /// regardless of how chunks regroup the terms (exact in i64).
+    /// `par_iter_mut().zip(par_chunks(c)).for_each`, the CRF gradient
+    /// batcher's shape: every slot paired with a chunk is written
+    /// exactly once with that chunk's sequential result, and slots past
+    /// the last chunk are left alone (zip truncates to the shorter side).
     #[test]
-    fn par_sum_matches_sequential(input in prop::collection::vec(-1_000i64..1_000, 0..500)) {
-        let parallel: i64 = input.par_iter().map(|&x| x).sum();
-        let sequential: i64 = input.iter().sum();
-        prop_assert_eq!(parallel, sequential);
+    fn zip_chunks_for_each_writes_each_slot_once(
+        input in prop::collection::vec(-1_000i64..1_000, 0..500),
+        chunk in 1usize..40,
+        spare in 0usize..3,
+    ) {
+        let chunks = input.len().div_ceil(chunk);
+        let mut slots = vec![(0u32, 0i64); chunks + spare];
+        slots.par_iter_mut().zip(input.par_chunks(chunk)).for_each(|((writes, total), items)| {
+            *writes += 1;
+            *total = items.iter().sum();
+        });
+        let sequential: Vec<i64> = input.chunks(chunk).map(|items| items.iter().sum()).collect();
+        for (i, &(writes, total)) in slots.iter().enumerate() {
+            match sequential.get(i) {
+                Some(&expected) => {
+                    prop_assert_eq!(writes, 1);
+                    prop_assert_eq!(total, expected);
+                }
+                None => prop_assert_eq!((writes, total), (0, 0)),
+            }
+        }
+    }
+
+    /// `par_iter_mut().enumerate().for_each`, the Jacobi sweep's shape:
+    /// every slot is written exactly once, from its own index.
+    #[test]
+    fn enumerate_for_each_writes_each_slot_once(len in 0usize..2_000) {
+        let mut slots = vec![(0u32, 0usize); len];
+        slots.par_iter_mut().enumerate().for_each(|(i, (writes, value))| {
+            *writes += 1;
+            *value = i * 3 + 1;
+        });
+        let sequential: Vec<(u32, usize)> = (0..len).map(|i| (1, i * 3 + 1)).collect();
+        prop_assert_eq!(slots, sequential);
     }
 
     /// Enumerate + zip run through the indexed source path; indices must
