@@ -35,6 +35,11 @@ impl GraphFeatureSet {
     }
 }
 
+/// Upper bound on `propagation.iterations`. Propagation runs every
+/// sweep it is asked for, with no early exit, so a count read from a
+/// model file must not be able to stall `test()`; the paper's
+/// configurations use 2–3 sweeps.
+pub const MAX_PROPAGATION_ITERATIONS: usize = 1_000;
 /// Upper bound on [`ServeConfig::queue_capacity`] and
 /// [`ServeConfig::max_batch`]: beyond a million queued requests or
 /// sentences per flush the knob is a typo, not a tuning choice.
@@ -171,6 +176,8 @@ pub enum ConfigError {
     AlphaNotSimplex(f64),
     /// Zero propagation iterations: the graph would never be consulted.
     ZeroIterations,
+    /// More than [`MAX_PROPAGATION_ITERATIONS`] propagation sweeps.
+    TooManyIterations(usize),
     /// μ or ν is negative, NaN or infinite.
     BadPropagationWeight {
         /// `"mu"` or `"nu"`.
@@ -190,6 +197,9 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
+    /// A [`GraphFeatureSet::MiThreshold`] that is NaN or infinite: no
+    /// mutual-information value compares meaningfully against it.
+    BadMiThreshold(f64),
     /// `shard_size = Fixed(0)`: a zero-vertex shard cannot tile the
     /// vertex range.
     ZeroShardSize,
@@ -222,6 +232,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroIterations => {
                 write!(f, "propagation must run at least one iteration")
             }
+            ConfigError::TooManyIterations(n) => write!(
+                f,
+                "propagation iterations = {n} exceeds the sanity cap {MAX_PROPAGATION_ITERATIONS}"
+            ),
             ConfigError::BadPropagationWeight { name, value } => {
                 write!(f, "{name} must be finite and non-negative, got {value}")
             }
@@ -230,6 +244,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadTransitionConstant { name, value } => {
                 write!(f, "{name} must be finite, non-negative and usable, got {value}")
+            }
+            ConfigError::BadMiThreshold(t) => {
+                write!(f, "the MI feature-set threshold must be finite, got {t}")
             }
             ConfigError::ZeroShardSize => {
                 write!(f, "shard_size must be >= 1 vertex (or ShardSize::Auto)")
@@ -261,6 +278,9 @@ impl GraphNerConfig {
         if cfg.propagation.iterations == 0 {
             return Err(ConfigError::ZeroIterations);
         }
+        if cfg.propagation.iterations > MAX_PROPAGATION_ITERATIONS {
+            return Err(ConfigError::TooManyIterations(cfg.propagation.iterations));
+        }
         for (name, value) in [("mu", cfg.propagation.mu), ("nu", cfg.propagation.nu)] {
             if !value.is_finite() || value < 0.0 {
                 return Err(ConfigError::BadPropagationWeight { name, value });
@@ -280,6 +300,11 @@ impl GraphNerConfig {
                 name: "trans_ratio_cap",
                 value: cfg.trans_ratio_cap,
             });
+        }
+        if let GraphFeatureSet::MiThreshold(t) = cfg.feature_set {
+            if !t.is_finite() {
+                return Err(ConfigError::BadMiThreshold(t));
+            }
         }
         if cfg.schedule.shard_size == ShardSize::Fixed(0) {
             return Err(ConfigError::ZeroShardSize);
@@ -377,6 +402,12 @@ mod tests {
             ..GraphNerConfig::default()
         };
         assert_eq!(cfg.validate(), Ok(()));
+        // the iteration cap itself and any finite MI threshold are accepted
+        assert_eq!(
+            validate_with(|c| c.propagation.iterations = MAX_PROPAGATION_ITERATIONS),
+            Ok(())
+        );
+        assert_eq!(validate_with(|c| c.feature_set = GraphFeatureSet::MiThreshold(0.01)), Ok(()));
     }
 
     #[test]
@@ -400,6 +431,16 @@ mod tests {
             validate_with(|c| c.trans_ratio_cap = 0.0),
             Err(ConfigError::BadTransitionConstant { name: "trans_ratio_cap", value: 0.0 })
         );
+        assert_eq!(
+            validate_with(|c| c.propagation.iterations = MAX_PROPAGATION_ITERATIONS + 1),
+            Err(ConfigError::TooManyIterations(MAX_PROPAGATION_ITERATIONS + 1))
+        );
+        assert_eq!(
+            validate_with(|c| c.feature_set = GraphFeatureSet::MiThreshold(f64::INFINITY)),
+            Err(ConfigError::BadMiThreshold(f64::INFINITY))
+        );
+        let nan_mi = validate_with(|c| c.feature_set = GraphFeatureSet::MiThreshold(f64::NAN));
+        assert!(matches!(nan_mi, Err(ConfigError::BadMiThreshold(t)) if t.is_nan()));
         let nan = validate_with(|c| c.propagation.nu = f64::NAN);
         assert!(matches!(nan, Err(ConfigError::BadPropagationWeight { name: "nu", .. })));
         assert_eq!(
@@ -496,6 +537,8 @@ mod tests {
     fn config_error_messages_name_the_knob() {
         assert!(ConfigError::ZeroK.to_string().contains('k'));
         assert!(ConfigError::AlphaNotSimplex(2.0).to_string().contains("alpha"));
+        assert!(ConfigError::TooManyIterations(5000).to_string().contains("iterations = 5000"));
+        assert!(ConfigError::BadMiThreshold(f64::NAN).to_string().contains("MI"));
         assert!(ConfigError::BadTransitionConstant { name: "trans_power", value: -1.0 }
             .to_string()
             .contains("trans_power"));

@@ -24,26 +24,22 @@ use graphner_crf::TrainReport;
 use graphner_graph::LabelDist;
 use graphner_obs::Stopwatch;
 use graphner_text::{BioTag, Corpus, Sentence, TrigramInterner, NUM_TAGS};
-use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
-/// A trained GraphNER model: the base CRF tagger plus the reference
-/// distributions over labelled 3-grams.
+/// A trained GraphNER model: what was learned (the base CRF tagger),
+/// what was configured, and the labelled corpus `D_l`. Everything else
+/// is derived from those three by `GraphNer::assemble`, the one place
+/// that builds a model, so a trained and a loaded model cannot disagree.
 #[derive(Clone, Debug)]
 pub struct GraphNer {
     pub(crate) base: NerModel,
     pub(crate) cfg: GraphNerConfig,
+    /// Every 3-gram of `D_l`, interned in corpus order: vertex ids
+    /// `0..interner.len()` are exactly the labelled vertices `V_l`.
     pub(crate) interner: TrigramInterner,
-    pub(crate) x_ref: FxHashMap<u32, LabelDist>,
-    /// Tag-level transition factors `T_s` used by the final Viterbi
-    /// decode: the empirical transition probabilities of the training
-    /// tags *divided by the tag prior*, `T[y][y'] = P(y'|y) / P(y')`.
-    /// The node beliefs fed to the decode are posteriors that already
-    /// contain the label prior, so raw conditional probabilities would
-    /// double-count it and crush the rare B/I tags; the likelihood-ratio
-    /// form contributes only the sequential dependence beyond the prior
-    /// (and still zeroes out ill-formed transitions such as `O → I`).
-    pub(crate) transitions: [[f64; NUM_TAGS]; NUM_TAGS],
+    /// `X_ref` (Algorithm 1, line 3), indexed by train vertex id: the
+    /// average gold label distribution of each labelled 3-gram.
+    pub(crate) x_ref: Vec<LabelDist>,
     /// The labelled corpus, retained because the transductive test
     /// procedure runs the CRF and graph construction over `D_l ∪ D_u`.
     /// Behind an [`Arc`] so [`GraphNer::reconfigured`] and `clone` —
@@ -56,11 +52,19 @@ pub struct GraphNer {
     pub(crate) train_features: Arc<TokenFeatures>,
 }
 
-/// Prior-scaled, tempered, bounded empirical transition factors
-/// `min((P(y'|y) / P(y'))^τ, cap)` from gold tag bigrams, with add-k
-/// smoothing on the bigram counts. `k` and `cap` come from
+/// Tag-level transition factors `T_s` for the final Viterbi decode:
+/// prior-scaled, tempered, bounded empirical transition factors
+/// `min((P(y'|y) / P(y'))^τ, cap)` from the gold tag bigrams of
+/// `corpus`, with add-k smoothing on the bigram counts. `τ`, `k` and
+/// `cap` come from [`GraphNerConfig::trans_power`],
 /// [`GraphNerConfig::trans_add_k`] and
 /// [`GraphNerConfig::trans_ratio_cap`].
+///
+/// The node beliefs fed to the decode are posteriors that already
+/// contain the label prior, so raw conditional probabilities would
+/// double-count it and crush the rare B/I tags; the likelihood-ratio
+/// form contributes only the sequential dependence beyond the prior
+/// (and still zeroes out ill-formed transitions such as `O → I`).
 ///
 /// The cap matters on corpora where a tag is almost absent (the AML
 /// profile has essentially no I tags): there the raw ratio
@@ -70,10 +74,9 @@ pub struct GraphNer {
 /// bounds its transition potentials; the cap plays the same role here.
 pub(crate) fn empirical_transitions(
     corpus: &Corpus,
-    k: f64,
-    tau: f64,
-    cap: f64,
+    cfg: &GraphNerConfig,
 ) -> [[f64; NUM_TAGS]; NUM_TAGS] {
+    let (k, tau, cap) = (cfg.trans_add_k, cfg.trans_power, cfg.trans_ratio_cap);
     let mut counts = [[k; NUM_TAGS]; NUM_TAGS];
     let mut unigrams = [k * NUM_TAGS as f64; NUM_TAGS];
     for sentence in &corpus.sentences {
@@ -136,11 +139,8 @@ pub struct TestOutput {
 
 impl GraphNer {
     /// TRAIN (Algorithm 1, lines 1–3): train the base CRF and set the
-    /// reference distributions.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented contract: GraphNer::train requires gold tags on every training sentence; an unlabelled corpus is caller error, not a recoverable state"
-    )]
+    /// reference distributions. Every training sentence must carry gold
+    /// tags.
     pub fn train(
         train: &Corpus,
         base_cfg: &NerConfig,
@@ -153,51 +153,50 @@ impl GraphNer {
         let (base, report) = NerModel::train_with_features(train, &train_features, base_cfg, dist);
         let crf_seconds = t0.elapsed_seconds();
 
-        // Line 3: X_ref(v) = average gold label distribution of every
-        // 3-gram v occurring in D_l.
+        let train_corpus = Arc::new(train.clone());
         let t1 = Stopwatch::start();
-        let mut interner = TrigramInterner::new();
-        let mut sums: FxHashMap<u32, ([f64; NUM_TAGS], f64)> = FxHashMap::default();
-        for sentence in &train.sentences {
-            let tags = sentence.tags.as_ref().expect("labelled corpus");
-            for i in 0..sentence.len() {
-                let v = interner.intern_at(sentence, i);
-                let entry = sums.entry(v).or_insert(([0.0; NUM_TAGS], 0.0));
-                entry.0[tags[i].index()] += 1.0;
-                entry.1 += 1.0;
-            }
-        }
-        let x_ref: FxHashMap<u32, LabelDist> = sums
-            .into_iter()
-            .map(|(v, (counts, n))| {
-                let mut d = [0.0; NUM_TAGS];
-                for (dy, cy) in d.iter_mut().zip(counts) {
-                    *dy = cy / n;
-                }
-                (v, d)
-            })
-            .collect();
-        if cfg!(debug_assertions) {
-            for d in x_ref.values() {
-                crate::check::assert_distribution("X_ref (train)", d);
-            }
-        }
+        let model = GraphNer::assemble(base, cfg, train_corpus, Arc::new(train_features));
         let ref_seconds = t1.elapsed_seconds();
+        (model, TrainOutput { report, crf_seconds, ref_seconds })
+    }
 
-        let transitions =
-            empirical_transitions(train, cfg.trans_add_k, cfg.trans_power, cfg.trans_ratio_cap);
-        (
-            GraphNer {
-                base,
-                cfg,
-                interner,
-                x_ref,
-                transitions,
-                train_corpus: Arc::new(train.clone()),
-                train_features: Arc::new(train_features),
-            },
-            TrainOutput { report, crf_seconds, ref_seconds },
-        )
+    /// Build a model from what was learned and configured plus `D_l`,
+    /// deriving line 3 of Algorithm 1: the train 3-gram interner and
+    /// `X_ref(v)`, the average gold label distribution of every 3-gram
+    /// `v` occurring in `D_l`. Both [`GraphNer::train`] and
+    /// [`crate::persist::read_model`] come through here.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: callers pass a fully labelled corpus (train requires one, read_model refuses any other)"
+    )]
+    pub(crate) fn assemble(
+        base: NerModel,
+        cfg: GraphNerConfig,
+        train_corpus: Arc<Corpus>,
+        train_features: Arc<TokenFeatures>,
+    ) -> GraphNer {
+        let mut interner = TrigramInterner::new();
+        let mut x_ref: Vec<LabelDist> = Vec::new();
+        let mut occ: Vec<f64> = Vec::new();
+        for sentence in &train_corpus.sentences {
+            let tags = sentence.tags.as_ref().expect("labelled corpus");
+            for (i, tag) in tags.iter().enumerate() {
+                let v = interner.intern_at(sentence, i) as usize;
+                if v == x_ref.len() {
+                    x_ref.push([0.0; NUM_TAGS]);
+                    occ.push(0.0);
+                }
+                x_ref[v][tag.index()] += 1.0;
+                occ[v] += 1.0;
+            }
+        }
+        for (d, n) in x_ref.iter_mut().zip(occ) {
+            for dy in d.iter_mut() {
+                *dy /= n;
+            }
+        }
+        crate::check::assert_distributions("X_ref (train)", &x_ref);
+        GraphNer { base, cfg, interner, x_ref, train_corpus, train_features }
     }
 
     /// The base tagger.
@@ -215,9 +214,10 @@ impl GraphNer {
         self.x_ref.len()
     }
 
-    /// The prior-scaled transition factors used by the final decode.
+    /// The transition factors `T_s` the final decode uses under this
+    /// model's configuration (see `empirical_transitions`).
     pub fn transitions(&self) -> [[f64; NUM_TAGS]; NUM_TAGS] {
-        self.transitions
+        empirical_transitions(&self.train_corpus, &self.cfg)
     }
 
     /// A copy of this model with a different GraphNER configuration but
@@ -225,21 +225,7 @@ impl GraphNer {
     /// for the Table III ablations, where only the graph construction
     /// and propagation settings vary.
     pub fn reconfigured(&self, cfg: GraphNerConfig) -> GraphNer {
-        let transitions = empirical_transitions(
-            &self.train_corpus,
-            cfg.trans_add_k,
-            cfg.trans_power,
-            cfg.trans_ratio_cap,
-        );
-        GraphNer {
-            base: self.base.clone(),
-            cfg,
-            interner: self.interner.clone(),
-            x_ref: self.x_ref.clone(),
-            transitions,
-            train_corpus: Arc::clone(&self.train_corpus),
-            train_features: Arc::clone(&self.train_features),
-        }
+        GraphNer { cfg, ..self.clone() }
     }
 
     /// TEST (Algorithm 1, lines 4–9), transductively over this test set.
@@ -274,15 +260,16 @@ pub fn annotations_from_predictions(
     set
 }
 
+/// Fixtures shared by the crate's unit tests, and this module's tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::GraphFeatureSet;
     use graphner_crf::{viterbi_tags, Order, TrainConfig};
     use graphner_graph::PropagationParams;
     use graphner_text::{tokenize, BioTag::*, Sentence};
 
-    fn quick_base_cfg() -> NerConfig {
+    pub(crate) fn quick_base_cfg() -> NerConfig {
         NerConfig {
             order: Order::One,
             train: TrainConfig { max_iterations: 60, l2: 0.1, ..Default::default() },
@@ -290,7 +277,7 @@ mod tests {
         }
     }
 
-    fn toy_train() -> Corpus {
+    pub(crate) fn toy_train() -> Corpus {
         let mk =
             |id: &str, text: &str, tags: Vec<BioTag>| Sentence::labelled(id, tokenize(text), tags);
         Corpus::from_sentences(vec![
@@ -303,11 +290,18 @@ mod tests {
         ])
     }
 
-    fn toy_test() -> Corpus {
+    /// Unlabelled test sentences; the gold tags are `[O, B, O, O, O]`
+    /// and all-`O`.
+    pub(crate) fn toy_test() -> Corpus {
         Corpus::from_sentences(vec![
-            Sentence::labelled("t0", tokenize("the FLT3 gene was expressed"), vec![O, B, O, O, O]),
-            Sentence::labelled("t1", tokenize("no mutation was found"), vec![O, O, O, O]),
+            Sentence::unlabelled("t0", tokenize("the FLT3 gene was expressed")),
+            Sentence::unlabelled("t1", tokenize("no mutation was found")),
         ])
+    }
+
+    /// [`toy_train`] under [`quick_base_cfg`] and the default config.
+    pub(crate) fn toy_model() -> GraphNer {
+        GraphNer::train(&toy_train(), &quick_base_cfg(), None, GraphNerConfig::default()).0
     }
 
     #[test]
@@ -322,23 +316,19 @@ mod tests {
 
     #[test]
     fn reference_distributions_are_gold_averages() {
-        let (gner, _) =
-            GraphNer::train(&toy_train(), &quick_base_cfg(), None, GraphNerConfig::default());
+        let gner = toy_model();
         // trigram [the WT1 gene] occurs once with centre tag B
         let v = gner.interner.lookup_at(&toy_train().sentences[0], 1).unwrap();
-        let d = gner.x_ref[&v];
-        assert_eq!(d, [1.0, 0.0, 0.0]);
+        assert_eq!(gner.x_ref[v as usize], [1.0, 0.0, 0.0]);
         // trigram [<s> the WT1] centre "the" tagged O
         let v2 = gner.interner.lookup_at(&toy_train().sentences[0], 0).unwrap();
-        assert_eq!(gner.x_ref[&v2], [0.0, 0.0, 1.0]);
+        assert_eq!(gner.x_ref[v2 as usize], [0.0, 0.0, 1.0]);
     }
 
     #[test]
     fn test_produces_predictions_for_every_sentence() {
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
-        let out = gner.test(&test.without_tags());
+        let gner = toy_model();
+        let out = gner.test(&toy_test());
         assert_eq!(out.predictions.len(), 2);
         assert_eq!(out.predictions[0].len(), 5);
         assert_eq!(out.base_predictions.len(), 2);
@@ -349,10 +339,7 @@ mod tests {
 
     #[test]
     fn graphner_finds_gene_in_seen_context() {
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
-        let out = gner.test(&test.without_tags());
+        let out = toy_model().test(&toy_test());
         // "the FLT3 gene": unseen symbol in a heavily seen gene context
         assert_eq!(out.predictions[0][1], B, "predictions: {:?}", out.predictions[0]);
         // non-gene sentence stays clean
@@ -361,15 +348,13 @@ mod tests {
 
     #[test]
     fn alpha_one_reduces_to_base_crf() {
-        let train = toy_train();
         let test = toy_test();
-        let cfg = GraphNerConfig {
+        let gner = toy_model().reconfigured(GraphNerConfig {
             alpha: 1.0,
             propagation: PropagationParams { mu: 1e-6, nu: 1e-6, iterations: 1, self_anchor: 0.5 },
             ..Default::default()
-        };
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, cfg);
-        let out = gner.test(&test.without_tags());
+        });
+        let out = gner.test(&test);
         // with α = 1 the combined beliefs are exactly the CRF posteriors;
         // decoding may still differ from base Viterbi only through the
         // posterior-vs-pathscore decode, so compare against posterior
@@ -385,16 +370,14 @@ mod tests {
     fn lexical_feature_set_runs_end_to_end() {
         let cfg =
             GraphNerConfig { feature_set: GraphFeatureSet::Lexical, ..GraphNerConfig::default() };
-        let (gner, _) = GraphNer::train(&toy_train(), &quick_base_cfg(), None, cfg);
-        let out = gner.test(&toy_test().without_tags());
+        let out = toy_model().reconfigured(cfg).test(&toy_test());
         assert_eq!(out.predictions.len(), 2);
     }
 
     #[test]
     fn annotations_round_trip() {
-        let test = toy_test();
         let preds = vec![vec![O, B, O, O, O], vec![O, O, O, O]];
-        let set = annotations_from_predictions(&test, &preds);
+        let set = annotations_from_predictions(&toy_test(), &preds);
         assert_eq!(set.num_primary(), 1);
         let ann = &set.primary["t0"][0];
         assert_eq!(ann.text, "FLT3");
@@ -402,9 +385,8 @@ mod tests {
 
     #[test]
     fn timings_are_populated() {
-        let (gner, _) =
-            GraphNer::train(&toy_train(), &quick_base_cfg(), None, GraphNerConfig::default());
-        let out = gner.test(&toy_test().without_tags());
+        let gner = toy_model();
+        let out = gner.test(&toy_test());
         let t = &out.timings;
         assert!(t.total() >= t.graph_seconds);
         assert!(t.total() > 0.0);
@@ -416,96 +398,5 @@ mod tests {
         assert!(t.decode_seconds > 0.0);
         // the propagation report surfaces through the output
         assert_eq!(out.propagation_iterations, gner.config().propagation.iterations);
-    }
-}
-
-/// Inductive (self-training) extension — the setting of Subramanya et
-/// al. (2010) that the paper explicitly contrasts with its transductive
-/// choice: "they expand the labelled data-set by treating the output of
-/// Viterbi decoding as correct and iterating over the train and test
-/// procedures, overwriting these labels until convergence or the 10th
-/// iteration."
-impl GraphNer {
-    /// Run the inductive loop: repeatedly run the transductive test,
-    /// adopt the predicted labels as reference distributions for the
-    /// test 3-grams, and re-test. Stops when predictions converge or
-    /// after `max_rounds` (the paper's reference uses 10).
-    ///
-    /// Returns the final test output plus the number of rounds run.
-    pub fn test_inductive(&self, test: &Corpus, max_rounds: usize) -> (TestOutput, usize) {
-        let mut current = self.clone();
-        let mut out = current.test(test);
-        for round in 1..max_rounds {
-            // expand the reference distributions with the predicted
-            // labels of the test sentences (self-training)
-            let mut next = current.clone();
-            let mut sums: FxHashMap<u32, ([f64; NUM_TAGS], f64)> = FxHashMap::default();
-            for (sentence, tags) in test.sentences.iter().zip(&out.predictions) {
-                for i in 0..sentence.len() {
-                    let v = next.interner.intern_at(sentence, i);
-                    let e = sums.entry(v).or_insert(([0.0; NUM_TAGS], 0.0));
-                    e.0[tags[i].index()] += 1.0;
-                    e.1 += 1.0;
-                }
-            }
-            for (v, (counts, n)) in sums {
-                // adopt predicted labels as references, but never
-                // overwrite vertices carrying true labelled-data
-                // references
-                if !self.x_ref.contains_key(&v) {
-                    let mut d = [0.0; NUM_TAGS];
-                    for (dy, cy) in d.iter_mut().zip(counts) {
-                        *dy = cy / n;
-                    }
-                    next.x_ref.insert(v, d);
-                }
-            }
-            let new_out = next.test(test);
-            let converged = new_out.predictions == out.predictions;
-            current = next;
-            out = new_out;
-            if converged {
-                return (out, round + 1);
-            }
-        }
-        (out, max_rounds)
-    }
-}
-
-#[cfg(test)]
-mod inductive_tests {
-    use super::*;
-    use crate::config::GraphNerConfig;
-    use graphner_crf::{Order, TrainConfig};
-    use graphner_text::{tokenize, BioTag::*, Sentence};
-
-    #[test]
-    fn inductive_loop_converges_and_stays_sane() {
-        let mk =
-            |id: &str, text: &str, tags: Vec<BioTag>| Sentence::labelled(id, tokenize(text), tags);
-        let train = Corpus::from_sentences(vec![
-            mk("s0", "the WT1 gene was expressed", vec![O, B, O, O, O]),
-            mk("s1", "mutation of SH2B3 was detected", vec![O, O, B, O, O]),
-            mk("s2", "the KRAS gene was mutated", vec![O, B, O, O, O]),
-            mk("s3", "no mutation was found", vec![O, O, O, O]),
-        ]);
-        let cfg = NerConfig {
-            order: Order::One,
-            train: TrainConfig { max_iterations: 60, ..Default::default() },
-            min_feature_count: 1,
-        };
-        let (gner, _) = GraphNer::train(&train, &cfg, None, GraphNerConfig::default());
-        let test = Corpus::from_sentences(vec![
-            Sentence::unlabelled("t0", tokenize("the FLT3 gene was expressed")),
-            Sentence::unlabelled("t1", tokenize("no mutation was found")),
-        ]);
-        let (out, rounds) = gner.test_inductive(&test, 10);
-        assert!(rounds <= 10);
-        assert_eq!(out.predictions.len(), 2);
-        assert_eq!(out.predictions[0][1], B);
-        assert!(out.predictions[1].iter().all(|&t| t == O));
-        // inductive must agree with transductive on this easy case
-        let transductive = gner.test(&test);
-        assert_eq!(out.predictions, transductive.predictions);
     }
 }

@@ -6,36 +6,36 @@
 //!
 //! ```text
 //! magic    b"GNER"
-//! version  u32 (currently 1)
+//! version  u32 (currently 2; version 1 files are refused)
 //! config   α, (μ, ν, #iterations, self-anchor), K, feature set,
 //!          τ, add-k, ratio cap
-//! trans    NUM_TAGS × NUM_TAGS transition factors
-//! x_ref    labelled-vertex reference distributions, sorted by vertex id
-//! interner word vocabulary + trigram triples, in id order
-//! base     BANNER feature strings (id order) + CRF order and weights
-//! corpus   the training corpus (the transductive TEST procedure needs
-//!          `D_l`, so a loaded model can run `test` immediately)
+//! base     CRF order + BANNER feature strings (id order) + CRF weights
+//! corpus   the fully labelled training corpus `D_l`
 //! ```
 //!
-//! Everything is written in deterministic order, so saving the same
-//! model twice produces identical bytes. Models whose base system uses
-//! distributional resources (BANNER-ChemDNER) are rejected: the Brown
-//! clustering and embedding clusters are not persisted.
+//! The file holds only what was learned or configured, plus `D_l`.
+//! Everything derived from them — the train feature table, the train
+//! 3-gram interner, the reference distributions `X_ref` and the decode
+//! transitions — is rebuilt on load by the same code that builds a
+//! freshly trained model, so no stored byte can contradict the corpus
+//! next to it. Everything is written in deterministic order, so saving
+//! the same model twice produces identical bytes. Models whose base
+//! system uses distributional resources (BANNER-ChemDNER) are rejected:
+//! the Brown clustering and embedding clusters are not persisted.
 
 use crate::config::{GraphFeatureSet, GraphNerConfig};
 use crate::model::GraphNer;
 use graphner_banner::{BaseSystem, FeatureIndex, FeatureSet, NerModel, TokenFeatures};
 use graphner_crf::{ChainCrf, Order};
-use graphner_graph::{LabelDist, PropagationParams};
-use graphner_text::{BioTag, Corpus, Sentence, Trigram, TrigramInterner, Vocab, NUM_TAGS};
-use rustc_hash::FxHashMap;
+use graphner_graph::PropagationParams;
+use graphner_text::{BioTag, Corpus, Sentence};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"GNER";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Why a save or load failed.
 #[derive(Debug)]
@@ -182,72 +182,6 @@ fn get_config<R: Read>(r: &mut R) -> Result<GraphNerConfig, PersistError> {
     })
 }
 
-fn put_x_ref<W: Write>(w: &mut W, x_ref: &FxHashMap<u32, LabelDist>) -> io::Result<()> {
-    let mut entries: Vec<(&u32, &LabelDist)> = x_ref.iter().collect();
-    entries.sort_unstable_by_key(|(v, _)| **v);
-    put_u64(w, entries.len() as u64)?;
-    for (v, dist) in entries {
-        put_u32(w, *v)?;
-        for &p in dist.iter() {
-            put_f64(w, p)?;
-        }
-    }
-    Ok(())
-}
-
-fn get_x_ref<R: Read>(r: &mut R) -> Result<FxHashMap<u32, LabelDist>, PersistError> {
-    let n = get_len(r, "x_ref")?;
-    let mut x_ref = FxHashMap::default();
-    for _ in 0..n {
-        let v = get_u32(r)?;
-        let mut d = [0.0; NUM_TAGS];
-        for p in d.iter_mut() {
-            *p = get_f64(r)?;
-        }
-        if !crate::check::is_distribution(&d) {
-            return Err(bad(format!("reference distribution of vertex {v} is not a distribution")));
-        }
-        x_ref.insert(v, d);
-    }
-    Ok(x_ref)
-}
-
-fn put_interner<W: Write>(w: &mut W, interner: &TrigramInterner) -> io::Result<()> {
-    put_u64(w, interner.words.len() as u64)?;
-    for (_, word) in interner.words.iter() {
-        put_str(w, word)?;
-    }
-    let trigrams = interner.trigrams();
-    put_u64(w, trigrams.len() as u64)?;
-    for tg in trigrams {
-        for &word in &tg.0 {
-            put_u32(w, word)?;
-        }
-    }
-    Ok(())
-}
-
-fn get_interner<R: Read>(r: &mut R) -> Result<TrigramInterner, PersistError> {
-    let num_words = get_len(r, "vocabulary")?;
-    let mut words = Vec::new();
-    for _ in 0..num_words {
-        words.push(get_str(r)?);
-    }
-    let num_trigrams = get_len(r, "trigram list")?;
-    let mut trigrams = Vec::new();
-    for _ in 0..num_trigrams {
-        let mut tg = [0u32; 3];
-        for word in tg.iter_mut() {
-            *word = get_u32(r)?;
-            if *word as usize >= num_words {
-                return Err(bad(format!("trigram word id {word} out of range")));
-            }
-        }
-        trigrams.push(Trigram(tg));
-    }
-    Ok(TrigramInterner::from_parts(Vocab::from_strings(words), trigrams))
-}
-
 fn put_base<W: Write>(w: &mut W, base: &NerModel) -> io::Result<()> {
     let crf = base.crf();
     put_u8(
@@ -357,13 +291,6 @@ pub fn write_model<W: Write>(model: &GraphNer, w: &mut W) -> Result<(), PersistE
     w.write_all(MAGIC)?;
     put_u32(w, VERSION)?;
     put_config(w, &model.cfg)?;
-    for row in &model.transitions {
-        for &t in row.iter() {
-            put_f64(w, t)?;
-        }
-    }
-    put_x_ref(w, &model.x_ref)?;
-    put_interner(w, &model.interner)?;
     put_base(w, &model.base)?;
     put_corpus(w, &model.train_corpus)?;
     Ok(())
@@ -382,21 +309,15 @@ pub fn read_model<R: Read>(r: &mut R) -> Result<GraphNer, PersistError> {
     }
     let cfg = get_config(r)?;
     cfg.validate().map_err(|e| bad(format!("invalid configuration: {e}")))?;
-    let mut transitions = [[0.0; NUM_TAGS]; NUM_TAGS];
-    for row in transitions.iter_mut() {
-        for t in row.iter_mut() {
-            *t = get_f64(r)?;
-        }
-    }
-    let x_ref = get_x_ref(r)?;
-    let interner = get_interner(r)?;
     let base = get_base(r)?;
-    let train_corpus = Arc::new(get_corpus(r)?);
-    // the feature table is derived data: rebuilt, not stored
+    let train_corpus = get_corpus(r)?;
+    if let Some(s) = train_corpus.sentences.iter().find(|s| s.tags.is_none()) {
+        return Err(bad(format!("train sentence {:?} carries no gold tags", s.id)));
+    }
+    // everything else is derived data: rebuilt, not stored
     let sentences: Vec<&Sentence> = train_corpus.sentences.iter().collect();
-    let train_features =
-        Arc::new(TokenFeatures::build(&sentences, FeatureSet::All, base.distributional()));
-    Ok(GraphNer { base, cfg, interner, x_ref, transitions, train_corpus, train_features })
+    let train_features = TokenFeatures::build(&sentences, FeatureSet::All, base.distributional());
+    Ok(GraphNer::assemble(base, cfg, Arc::new(train_corpus), Arc::new(train_features)))
 }
 
 /// Save a trained model to a file.
@@ -422,35 +343,10 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<GraphNer, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::{toy_model, toy_test};
     use graphner_banner::NerConfig;
     use graphner_crf::TrainConfig;
     use graphner_text::tokenize;
-
-    fn toy_model() -> GraphNer {
-        use graphner_text::BioTag::*;
-        let mk =
-            |id: &str, text: &str, tags: Vec<BioTag>| Sentence::labelled(id, tokenize(text), tags);
-        let train = Corpus::from_sentences(vec![
-            mk("s0", "the WT1 gene was expressed", vec![O, B, O, O, O]),
-            mk("s1", "mutation of SH2B3 was detected", vec![O, O, B, O, O]),
-            mk("s2", "the KRAS gene was mutated", vec![O, B, O, O, O]),
-            mk("s3", "no mutation was found", vec![O, O, O, O]),
-        ]);
-        let cfg = NerConfig {
-            order: Order::One,
-            train: TrainConfig { max_iterations: 50, ..Default::default() },
-            min_feature_count: 1,
-        };
-        let (gner, _) = GraphNer::train(&train, &cfg, None, GraphNerConfig::default());
-        gner
-    }
-
-    fn toy_test_corpus() -> Corpus {
-        Corpus::from_sentences(vec![
-            Sentence::unlabelled("t0", tokenize("the FLT3 gene was expressed")),
-            Sentence::unlabelled("t1", tokenize("no mutation was found")),
-        ])
-    }
 
     #[test]
     fn round_trip_preserves_predictions_and_state() {
@@ -459,15 +355,15 @@ mod tests {
         write_model(&model, &mut bytes).unwrap();
         let loaded = read_model(&mut bytes.as_slice()).unwrap();
 
-        assert_eq!(loaded.transitions, model.transitions);
+        assert_eq!(loaded.transitions(), model.transitions());
         assert_eq!(loaded.x_ref, model.x_ref);
-        assert_eq!(loaded.interner.len(), model.interner.len());
+        assert_eq!(loaded.interner.trigrams(), model.interner.trigrams());
         assert_eq!(loaded.cfg.alpha, model.cfg.alpha);
         assert_eq!(loaded.cfg.k, model.cfg.k);
         assert_eq!(loaded.base.crf().params(), model.base.crf().params());
         assert_eq!(loaded.train_corpus.len(), model.train_corpus.len());
 
-        let test = toy_test_corpus();
+        let test = toy_test();
         let out = model.test(&test);
         let out2 = loaded.test(&test);
         assert_eq!(out.predictions, out2.predictions);
@@ -500,22 +396,27 @@ mod tests {
         let mut future = bytes.clone();
         future[4] = 99; // version
         assert!(matches!(read_model(&mut future.as_slice()), Err(PersistError::Format(_))));
+
+        // format 1 stored derived sections this reader no longer parses
+        let mut v1 = bytes.clone();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        match read_model(&mut v1.as_slice()) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+            other => panic!("a version 1 header loaded: {:?}", other.err()),
+        }
     }
 
     #[test]
     fn lying_length_prefixes_are_rejected_without_preallocating() {
-        // a valid header, then a vocabulary claiming 2^40 words: the
-        // reader must hit end of stream, not allocate for the claim
+        // a valid header, then a feature index claiming 2^40 strings:
+        // the reader must hit end of stream, not allocate for the claim
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         put_u32(&mut bytes, VERSION).unwrap();
         put_config(&mut bytes, &GraphNerConfig::default()).unwrap();
-        for _ in 0..NUM_TAGS * NUM_TAGS {
-            put_f64(&mut bytes, 1.0).unwrap();
-        }
-        put_u64(&mut bytes, 0).unwrap(); // empty x_ref
+        put_u8(&mut bytes, 1).unwrap(); // CRF order
         let header = bytes.len();
-        put_u64(&mut bytes, 1 << 40).unwrap(); // vocabulary length
+        put_u64(&mut bytes, 1 << 40).unwrap(); // feature-index length
         assert!(read_model(&mut bytes.as_slice()).is_err());
 
         // the same lie on a single string's length
@@ -526,27 +427,40 @@ mod tests {
         assert!(matches!(read_model(&mut bytes.as_slice()), Err(PersistError::Io(_))));
     }
 
-    #[test]
-    fn reference_rows_that_are_not_distributions_are_rejected() {
-        let mut model = toy_model();
-        model.x_ref.insert(0, [0.5, 0.5, 0.5]);
+    /// The [`PersistError::Format`] message loading `model`'s bytes gives.
+    fn format_error(model: &GraphNer) -> String {
         let mut bytes = Vec::new();
-        write_model(&model, &mut bytes).unwrap();
+        write_model(model, &mut bytes).unwrap();
         match read_model(&mut bytes.as_slice()) {
-            Err(PersistError::Format(msg)) => assert!(msg.contains("vertex 0"), "{msg}"),
-            other => panic!("a non-distribution row loaded: {:?}", other.err()),
+            Err(PersistError::Format(msg)) => msg,
+            other => panic!("expected a format error, got {:?}", other.err()),
         }
     }
 
     #[test]
-    fn configs_that_fail_validation_are_rejected() {
+    fn partially_labelled_train_corpora_are_rejected() {
+        // the unlabelled sentence is written with tag-presence marker 0,
+        // and X_ref cannot be derived from it
         let mut model = toy_model();
-        model.cfg.k = 0;
-        let mut bytes = Vec::new();
-        write_model(&model, &mut bytes).unwrap();
-        match read_model(&mut bytes.as_slice()) {
-            Err(PersistError::Format(msg)) => assert!(msg.contains("k must be"), "{msg}"),
-            other => panic!("k = 0 model loaded: {:?}", other.err()),
+        let mut corpus = (*model.train_corpus).clone();
+        corpus.sentences[2] = Sentence::unlabelled("s2", corpus.sentences[2].tokens.clone());
+        model.train_corpus = Arc::new(corpus);
+        let msg = format_error(&model);
+        assert!(msg.contains("no gold tags"), "{msg}");
+    }
+
+    #[test]
+    fn configs_that_fail_validation_are_rejected() {
+        let model = toy_model();
+        let defaults = GraphNerConfig::default();
+        // propagation has no early exit: a file must not stall test()
+        let unbounded = PropagationParams { iterations: 1 << 40, ..defaults.propagation };
+        for (cfg, expect) in [
+            (GraphNerConfig { k: 0, ..defaults.clone() }, "k must be"),
+            (GraphNerConfig { propagation: unbounded, ..defaults.clone() }, "sanity cap"),
+        ] {
+            let msg = format_error(&model.reconfigured(cfg));
+            assert!(msg.contains(expect), "{msg}");
         }
     }
 
@@ -578,7 +492,7 @@ mod tests {
         let path = dir.join("graphner-persist-test.gner");
         save_model(&model, &path).unwrap();
         let loaded = load_model(&path).unwrap();
-        assert_eq!(loaded.transitions, model.transitions);
+        assert_eq!(loaded.transitions(), model.transitions());
 
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.push(0);

@@ -420,63 +420,61 @@ impl<'a> TestSession<'a> {
         }
     }
 
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the interner mints u32 trigram ids, so its length fits u32"
-    )]
+    /// The model's dense train rows, then `None` for every vertex the
+    /// session's graph build added: train vertex ids come first.
     fn ensure_x_ref_slice(&mut self) {
         if self.x_ref_slice.is_none() {
-            let n = self.interner.len();
-            self.x_ref_slice =
-                Some((0..n as u32).map(|v| self.model.x_ref.get(&v).copied()).collect());
+            let mut slice: Vec<Option<LabelDist>> =
+                self.model.x_ref.iter().copied().map(Some).collect();
+            slice.resize(self.interner.len(), None);
+            self.x_ref_slice = Some(slice);
+        }
+    }
+
+    /// Compute (or look up) every artifact `cfg` needs and borrow them.
+    fn prepare(&mut self, cfg: &GraphNerConfig) -> Prepared<'_> {
+        self.ensure_posteriors();
+        self.ensure_graph(cfg.feature_set, cfg.k);
+        let shard_vertices = self.ensure_partition(cfg);
+        self.ensure_averaged();
+        self.ensure_x_ref_slice();
+        let (fs_key, k) = (cfg.feature_set.cache_key(), cfg.k);
+        let (Some(posteriors), Some(averaged), Some(x_ref)) =
+            (self.posteriors.as_ref(), self.averaged.as_ref(), self.x_ref_slice.as_ref())
+        else {
+            unreachable!("the ensure_* calls above populate the session cache")
+        };
+        Prepared {
+            graph: &self.graphs[&(fs_key, k)],
+            partition: &self.partitions[&(fs_key, k, shard_vertices)],
+            interner: &self.interner,
+            posteriors,
+            averaged,
+            x_ref,
         }
     }
 
     /// TEST (Algorithm 1, lines 4–9) under one configuration, reusing
     /// every cached artifact the configuration permits.
     pub fn run(&mut self, cfg: &GraphNerConfig) -> TestOutput {
+        let (model, test) = (self.model, self.test);
         let ((predictions, base_predictions, stats, report), spans) = with_capture(|| {
-            self.ensure_posteriors();
-            self.ensure_graph(cfg.feature_set, cfg.k);
-            let shard_vertices = self.ensure_partition(cfg);
-            self.ensure_averaged();
-            self.ensure_x_ref_slice();
-
-            let graph_key = (cfg.feature_set.cache_key(), cfg.k);
-            let graph = &self.graphs[&graph_key];
-            let partition = &self.partitions[&(graph_key.0, graph_key.1, shard_vertices)];
-            let (Some(x_ref_slice), Some(posteriors), Some(averaged)) =
-                (self.x_ref_slice.as_ref(), self.posteriors.as_ref(), self.averaged.as_ref())
-            else {
-                unreachable!("the ensure_* calls above populate the session cache")
-            };
+            let p = self.prepare(cfg);
 
             // propagation mutates the beliefs, so each run works on a
             // copy of the cached averages
-            let mut x = averaged.clone();
+            let mut x = p.averaged.clone();
             let report = {
                 let _s = span(SpanName::TestPropagate);
-                PropagateStage::run(graph, partition, &mut x, x_ref_slice, cfg)
+                PropagateStage::run(p.graph, p.partition, &mut x, p.x_ref, cfg)
             };
 
-            let transitions = empirical_transitions(
-                &self.model.train_corpus,
-                cfg.trans_add_k,
-                cfg.trans_power,
-                cfg.trans_ratio_cap,
-            );
-            let test_posteriors = posteriors.test();
+            let transitions = empirical_transitions(&model.train_corpus, cfg);
+            let test_posteriors = p.posteriors.test();
             let predictions = {
                 let _s = span(SpanName::TestDecode);
-                attr("decode.sentences", self.test.len());
-                DecodeStage::run(
-                    self.test,
-                    test_posteriors,
-                    &self.interner,
-                    &x,
-                    cfg.alpha,
-                    &transitions,
-                )
+                attr("decode.sentences", test.len());
+                DecodeStage::run(test, test_posteriors, p.interner, &x, cfg.alpha, &transitions)
             };
 
             // Baseline decode for comparison (not part of Algorithm 1):
@@ -486,7 +484,7 @@ impl<'a> TestSession<'a> {
             let base_predictions: Vec<Vec<BioTag>> =
                 test_posteriors.par_iter().map(|post| viterbi_tags(post, &transitions)).collect();
 
-            let stats = GraphStats::compute(graph, x_ref_slice, partition);
+            let stats = GraphStats::compute(p.graph, p.x_ref, p.partition);
             (predictions, base_predictions, stats, report)
         });
 
@@ -516,34 +514,30 @@ impl<'a> TestSession<'a> {
     /// Freeze the session's propagated beliefs under `cfg` into a
     /// standalone [`GraphTagger`].
     pub fn tagger(&mut self, cfg: &GraphNerConfig) -> GraphTagger {
-        self.ensure_posteriors();
-        self.ensure_graph(cfg.feature_set, cfg.k);
-        let shard_vertices = self.ensure_partition(cfg);
-        self.ensure_averaged();
-        self.ensure_x_ref_slice();
-        let graph_key = (cfg.feature_set.cache_key(), cfg.k);
-        let graph = &self.graphs[&graph_key];
-        let partition = &self.partitions[&(graph_key.0, graph_key.1, shard_vertices)];
-        let (Some(averaged), Some(x_ref_slice)) =
-            (self.averaged.as_ref(), self.x_ref_slice.as_ref())
-        else {
-            unreachable!("the ensure_* calls above populate the session cache")
-        };
-        let mut x = averaged.clone();
-        PropagateStage::run(graph, partition, &mut x, x_ref_slice, cfg);
+        let model = self.model;
+        let p = self.prepare(cfg);
+        let mut x = p.averaged.clone();
+        PropagateStage::run(p.graph, p.partition, &mut x, p.x_ref, cfg);
         GraphTagger {
-            base: self.model.base.clone(),
-            interner: self.interner.clone(),
+            base: model.base.clone(),
+            interner: p.interner.clone(),
             x,
             alpha: cfg.alpha,
-            transitions: empirical_transitions(
-                &self.model.train_corpus,
-                cfg.trans_add_k,
-                cfg.trans_power,
-                cfg.trans_ratio_cap,
-            ),
+            transitions: empirical_transitions(&model.train_corpus, cfg),
         }
     }
+}
+
+/// The cached session artifacts one configuration runs on, borrowed
+/// from a [`TestSession`] by its `prepare` step.
+struct Prepared<'s> {
+    graph: &'s KnnGraph,
+    partition: &'s Partition,
+    /// Covers every 3-gram of `D_l ∪ D_u`.
+    interner: &'s TrigramInterner,
+    posteriors: &'s CorpusPosteriors,
+    averaged: &'s VertexBeliefs,
+    x_ref: &'s [Option<LabelDist>],
 }
 
 /// The GraphNER decode as a serving-style [`Tagger`]: the base CRF plus
@@ -629,37 +623,8 @@ impl Tagger for GraphTagger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphner_banner::NerConfig;
-    use graphner_crf::{Order, TrainConfig};
-    use graphner_text::{tokenize, BioTag::*};
-
-    fn quick_base_cfg() -> NerConfig {
-        NerConfig {
-            order: Order::One,
-            train: TrainConfig { max_iterations: 60, l2: 0.1, ..Default::default() },
-            min_feature_count: 1,
-        }
-    }
-
-    fn toy_train() -> Corpus {
-        let mk =
-            |id: &str, text: &str, tags: Vec<BioTag>| Sentence::labelled(id, tokenize(text), tags);
-        Corpus::from_sentences(vec![
-            mk("s0", "the WT1 gene was expressed", vec![O, B, O, O, O]),
-            mk("s1", "mutation of SH2B3 was detected", vec![O, O, B, O, O]),
-            mk("s2", "the KRAS gene was mutated", vec![O, B, O, O, O]),
-            mk("s3", "expression of TP53 was low", vec![O, O, B, O, O]),
-            mk("s4", "the patient was treated", vec![O, O, O, O]),
-            mk("s5", "no mutation was found", vec![O, O, O, O]),
-        ])
-    }
-
-    fn toy_test() -> Corpus {
-        Corpus::from_sentences(vec![
-            Sentence::unlabelled("t0", tokenize("the FLT3 gene was expressed")),
-            Sentence::unlabelled("t1", tokenize("no mutation was found")),
-        ])
-    }
+    use crate::model::tests::{toy_model, toy_test};
+    use graphner_text::tokenize;
 
     fn count(spans: &[graphner_obs::SpanRecord], name: SpanName) -> usize {
         spans.iter().filter(|s| s.name == name.as_str()).count()
@@ -667,9 +632,7 @@ mod tests {
 
     #[test]
     fn session_matches_thin_driver_and_reuses_posteriors() {
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
+        let (gner, test) = (toy_model(), toy_test());
         let one_shot = gner.test(&test);
 
         let mut session = TestSession::new(&gner, &test);
@@ -697,9 +660,7 @@ mod tests {
 
     #[test]
     fn session_sweep_matches_reconfigured_models() {
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
+        let (gner, test) = (toy_model(), toy_test());
         let variants = [
             GraphNerConfig { k: 5, ..GraphNerConfig::default() },
             GraphNerConfig { feature_set: GraphFeatureSet::Lexical, ..GraphNerConfig::default() },
@@ -719,9 +680,7 @@ mod tests {
 
     #[test]
     fn vectors_are_reused_across_k() {
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
+        let (gner, test) = (toy_model(), toy_test());
         let mut session = TestSession::new(&gner, &test);
         session.run(&GraphNerConfig { k: 10, ..GraphNerConfig::default() });
         session.run(&GraphNerConfig { k: 5, ..GraphNerConfig::default() });
@@ -732,9 +691,7 @@ mod tests {
     #[test]
     fn partitions_are_cached_and_shard_size_never_changes_output() {
         use graphner_graph::{ShardSize, SweepSchedule};
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
+        let (gner, test) = (toy_model(), toy_test());
         let mut session = TestSession::new(&gner, &test);
         let base = session.run(&GraphNerConfig::default());
         assert_eq!(session.cached_partition_count(), 1);
@@ -758,9 +715,7 @@ mod tests {
 
     #[test]
     fn graph_tagger_matches_session_predictions() {
-        let train = toy_train();
-        let test = toy_test();
-        let (gner, _) = GraphNer::train(&train, &quick_base_cfg(), None, GraphNerConfig::default());
+        let (gner, test) = (toy_model(), toy_test());
         let mut session = TestSession::new(&gner, &test);
         let out = session.run(gner.config());
         let tagger = session.tagger(gner.config());

@@ -111,16 +111,6 @@ impl TrigramInterner {
         &self.by_id
     }
 
-    /// Rebuild an interner from its word vocabulary and the 3-gram list
-    /// in vertex-id order, as exposed by [`trigrams`](TrigramInterner::trigrams).
-    /// A round trip through `trigrams`/`from_parts` preserves every
-    /// vertex id.
-    pub fn from_parts(words: Vocab, trigrams: Vec<Trigram>) -> TrigramInterner {
-        let by_trigram =
-            trigrams.iter().enumerate().map(|(i, &tg)| (tg, i as u32)).collect::<FxHashMap<_, _>>();
-        TrigramInterner { words, by_trigram, by_id: trigrams }
-    }
-
     /// Number of unique 3-grams (graph vertices).
     pub fn len(&self) -> usize {
         self.by_id.len()

@@ -58,18 +58,6 @@ impl Vocab {
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         self.by_id.iter().enumerate().map(|(i, s)| (i as u32, s.as_str()))
     }
-
-    /// Rebuild a vocabulary from strings listed in id order, as produced
-    /// by [`iter`](Vocab::iter). The string at position `i` gets id `i`,
-    /// so a round trip through `iter`/`from_strings` is the identity.
-    pub fn from_strings(strings: Vec<String>) -> Vocab {
-        let by_str = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect::<FxHashMap<_, _>>();
-        Vocab { by_str, by_id: strings }
-    }
 }
 
 #[cfg(test)]
