@@ -184,11 +184,6 @@ impl NerModel {
         }
         self.crf.posteriors(features)
     }
-
-    /// Tag-level transition probabilities `T_s` (Algorithm 1, line 5).
-    pub fn transition_matrix(&self) -> [[f64; NUM_TAGS]; NUM_TAGS] {
-        self.crf.tag_transition_matrix()
-    }
 }
 
 impl Tagger for NerModel {
@@ -266,17 +261,6 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9);
         }
         assert!(post[1][B.index()] > 0.5, "post = {:?}", post[1]);
-    }
-
-    #[test]
-    fn transition_matrix_learned_bio_structure() {
-        let (model, _) = NerModel::train(&toy_corpus(), &quick_cfg(), None);
-        let t = model.transition_matrix();
-        for row in t {
-            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
-        // O -> I never occurs in training; O -> O dominates
-        assert!(t[O.index()][O.index()] > t[O.index()][I.index()]);
     }
 
     #[test]

@@ -287,17 +287,6 @@ pub fn print_header(title: &str) {
     println!("{:<34} {:>12} {:>10} {:>10}", "Method", "Precision(%)", "Recall(%)", "F-Score(%)");
 }
 
-/// Print one result row.
-pub fn print_row(r: &SystemResult) {
-    println!(
-        "{:<34} {:>12.2} {:>10.2} {:>10.2}",
-        r.name,
-        r.eval.precision() * 100.0,
-        r.eval.recall() * 100.0,
-        r.eval.f_score() * 100.0
-    );
-}
-
 /// Print one seed-averaged row.
 pub fn print_mean_row(r: &MeanResult) {
     println!(

@@ -19,7 +19,7 @@
 use graphner_graph::{KnnGraph, LabelDist, SparseVec};
 
 /// How far a probability row may drift from summing to exactly 1
-/// before [`assert_distribution`] treats it as a bug. Forward–backward
+/// before [`assert_distributions`] treats it as a bug. Forward–backward
 /// posteriors and the Jacobi sweeps renormalize analytically, so
 /// anything beyond accumulated rounding noise indicates a real defect.
 pub const DISTRIBUTION_TOL: f64 = 1e-6;
@@ -34,28 +34,10 @@ const NEG_SLACK: f64 = -1e-12;
 /// rounding, not merely "be similar".
 const WEIGHT_TOL: f32 = 1e-6;
 
-/// Assert `d` is a probability distribution: every entry finite and
-/// non-negative, entries summing to 1 within [`DISTRIBUTION_TOL`].
-/// No-op in release builds.
-#[inline]
-pub fn assert_distribution(ctx: &str, d: &[f64]) {
-    if !cfg!(debug_assertions) {
-        return;
-    }
-    let mut sum = 0.0;
-    for (i, &p) in d.iter().enumerate() {
-        assert!(p.is_finite(), "{ctx}: entry {i} is not finite ({p})");
-        assert!(p >= NEG_SLACK, "{ctx}: entry {i} is negative ({p})");
-        sum += p;
-    }
-    assert!(
-        (sum - 1.0).abs() <= DISTRIBUTION_TOL,
-        "{ctx}: entries sum to {sum}, expected 1 within {DISTRIBUTION_TOL}"
-    );
-}
-
-/// [`assert_distribution`] over a belief table, one row per vertex or
-/// token. No-op in release builds.
+/// Assert every row of a belief table (one row per vertex or token) is
+/// a probability distribution: every entry finite and non-negative,
+/// entries summing to 1 within [`DISTRIBUTION_TOL`]. No-op in release
+/// builds.
 #[inline]
 pub fn assert_distributions(ctx: &str, rows: &[LabelDist]) {
     if !cfg!(debug_assertions) {
@@ -110,9 +92,7 @@ pub fn assert_finite_sparse(ctx: &str, vectors: &[SparseVec]) {
 /// agree to `f32` rounding, because cosine similarity is symmetric and
 /// both directions score the same vector pair. The raw k-NN graph is
 /// directed (v may be among u's nearest without the converse), so this
-/// — not full symmetry — is its invariant; [`assert_symmetric_knn`]
-/// checks the stronger property for symmetrized graphs. No-op in
-/// release builds.
+/// — not full symmetry — is its invariant. No-op in release builds.
 #[inline]
 pub fn assert_edge_weights_symmetric(ctx: &str, graph: &KnnGraph) {
     if !cfg!(debug_assertions) {
@@ -131,29 +111,6 @@ pub fn assert_edge_weights_symmetric(ctx: &str, graph: &KnnGraph) {
     }
 }
 
-/// Assert a graph is fully symmetric: every edge `u → v` has a reverse
-/// edge `v → u` of equal weight (to `f32` rounding). Holds for the
-/// output of [`KnnGraph::symmetrized`], never for a raw directed k-NN
-/// graph with asymmetric neighbourhoods. No-op in release builds.
-#[inline]
-pub fn assert_symmetric_knn(ctx: &str, graph: &KnnGraph) {
-    if !cfg!(debug_assertions) {
-        return;
-    }
-    for u in 0..graph.num_vertices() as u32 {
-        for (v, w_uv) in graph.neighbors(u) {
-            assert!(w_uv.is_finite(), "{ctx}: edge {u} → {v} has non-finite weight {w_uv}");
-            let back = graph.neighbors(v).find(|&(back, _)| back == u);
-            assert!(back.is_some(), "{ctx}: edge {u} → {v} has no reverse edge");
-            let Some((_, w_vu)) = back else { unreachable!("asserted above") };
-            assert!(
-                (w_uv - w_vu).abs() <= WEIGHT_TOL,
-                "{ctx}: edge {u} ↔ {v} weights disagree ({w_uv} vs {w_vu})"
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,29 +120,35 @@ mod tests {
 
     #[test]
     fn accepts_valid_distributions() {
-        assert_distribution("ok", &[0.2, 0.3, 0.5]);
-        assert_distribution("ok", &[1.0, 0.0, 0.0]);
-        // rounding-noise negative zero is tolerated
-        assert_distribution("ok", &[1.0 + 1e-13, -1e-13, 0.0]);
-        assert_distributions("ok", &[[0.5, 0.25, 0.25], [1.0 / 3.0; 3]]);
+        assert_distributions(
+            "ok",
+            &[
+                [0.2, 0.3, 0.5],
+                [1.0, 0.0, 0.0],
+                // rounding-noise negative zero is tolerated
+                [1.0 + 1e-13, -1e-13, 0.0],
+                [0.5, 0.25, 0.25],
+                [1.0 / 3.0; 3],
+            ],
+        );
     }
 
     #[test]
-    #[should_panic(expected = "sum to")]
+    #[should_panic(expected = "sums to")]
     fn rejects_unnormalized() {
-        assert_distribution("bad", &[0.5, 0.5, 0.5]);
+        assert_distributions("bad", &[[0.5, 0.5, 0.5]]);
     }
 
     #[test]
     #[should_panic(expected = "negative")]
     fn rejects_negative_mass() {
-        assert_distribution("bad", &[1.1, -0.1, 0.0]);
+        assert_distributions("bad", &[[1.1, -0.1, 0.0]]);
     }
 
     #[test]
     #[should_panic(expected = "not finite")]
     fn rejects_nan() {
-        assert_distribution("bad", &[f64::NAN, 0.5, 0.5]);
+        assert_distributions("bad", &[[f64::NAN, 0.5, 0.5]]);
     }
 
     #[test]
@@ -212,13 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn directed_graph_passes_weight_consistency_but_not_symmetry() {
-        // 0 → 1 with no reverse edge: fine for the directed invariant,
-        // a violation of full symmetry
+    fn one_way_and_equal_mutual_edges_pass_weight_consistency() {
+        // 0 → 1 with no reverse edge: fine for the directed invariant
         let g = KnnGraph::from_adjacency(vec![vec![(1, 0.5)], vec![]], 1);
         assert_edge_weights_symmetric("ok", &g);
-        let caught = std::panic::catch_unwind(|| assert_symmetric_knn("bad", &g));
-        assert!(caught.is_err());
+        let g = KnnGraph::from_adjacency(vec![vec![(1, 0.5)], vec![(0, 0.5)]], 1);
+        assert_edge_weights_symmetric("ok", &g);
     }
 
     #[test]
@@ -226,12 +188,5 @@ mod tests {
     fn mutual_edge_weight_mismatch_is_caught() {
         let g = KnnGraph::from_adjacency(vec![vec![(1, 0.5)], vec![(0, 0.7)]], 1);
         assert_edge_weights_symmetric("bad", &g);
-    }
-
-    #[test]
-    fn symmetric_graph_passes_both() {
-        let g = KnnGraph::from_adjacency(vec![vec![(1, 0.5)], vec![(0, 0.5)]], 1);
-        assert_edge_weights_symmetric("ok", &g);
-        assert_symmetric_knn("ok", &g);
     }
 }

@@ -335,17 +335,20 @@ impl<'a> TestSession<'a> {
     }
 
     /// Number of distinct k-NN graphs built so far.
-    pub fn cached_graph_count(&self) -> usize {
+    #[cfg(test)]
+    fn cached_graph_count(&self) -> usize {
         self.graphs.len()
     }
 
     /// Number of distinct PMI vector sets built so far.
-    pub fn cached_vector_count(&self) -> usize {
+    #[cfg(test)]
+    fn cached_vector_count(&self) -> usize {
         self.vectors.len()
     }
 
     /// Number of distinct propagation partitions built so far.
-    pub fn cached_partition_count(&self) -> usize {
+    #[cfg(test)]
+    fn cached_partition_count(&self) -> usize {
         self.partitions.len()
     }
 

@@ -51,12 +51,6 @@ impl TestTimings {
             + self.propagate_seconds
             + self.decode_seconds
     }
-
-    /// GraphNER's *added* cost over the plain CRF test run — everything
-    /// except the posterior extraction the CRF would do anyway.
-    pub fn added_over_crf(&self) -> f64 {
-        self.total() - self.posterior_seconds
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +67,6 @@ mod tests {
             decode_seconds: 0.25,
         };
         assert!((t.total() - 4.0).abs() < 1e-12);
-        assert!((t.added_over_crf() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -95,7 +88,6 @@ mod tests {
         assert_eq!(t.propagate_seconds, 0.25);
         assert_eq!(t.decode_seconds, 0.25);
         assert!((t.total() - 4.0).abs() < 1e-12);
-        assert!((t.added_over_crf() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -175,19 +175,6 @@ impl ChainCrf {
         out
     }
 
-    /// Conditional log-likelihood `log p(gold | x)` of a labelled
-    /// sentence.
-    #[expect(
-        clippy::expect_used,
-        reason = "public-API contract of conditional_log_likelihood, stated in its doc comment"
-    )]
-    pub fn conditional_log_likelihood(&self, sent: &SentenceFeatures) -> f64 {
-        let gold = sent.gold.as_ref().expect("labelled sentence required");
-        let exp_trans = self.exp_transitions();
-        let lat = self.lattice(sent, &exp_trans);
-        self.path_log_score(sent, gold) - lat.log_z
-    }
-
     /// Viterbi decoding: the most probable tag sequence under the model.
     // hot: per-sentence max-product decode on the serving path
     // bound: i < l and st/p/cur < s with l*s the length of delta/back,
@@ -470,16 +457,6 @@ mod tests {
         let post = crf.posteriors(&sent);
         assert!(post.iter().flatten().all(|v| v.is_finite()));
         assert!(post[0][0] > 0.999); // state B strongly preferred
-    }
-
-    #[test]
-    fn conditional_ll_is_negative_log_prob() {
-        let crf = random_crf(Order::One, 4, 9);
-        let mut sent = random_sent(3, 4, 21);
-        sent.gold = Some(vec![O, B, I]);
-        let cll = crf.conditional_log_likelihood(&sent);
-        assert!(cll < 0.0);
-        assert!(cll > -50.0);
     }
 
     #[test]

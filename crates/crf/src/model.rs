@@ -166,42 +166,6 @@ impl ChainCrf {
         }
         score
     }
-
-    /// Tag-level transition probability matrix `T[y][y']` derived from
-    /// the learned transition weights, used by GraphNER's final Viterbi
-    /// decode over interpolated node beliefs (Algorithm 1, line 9).
-    ///
-    /// For an order-2 model, states are tag pairs; the tag-level score of
-    /// `y -> y'` aggregates over the unknown earlier context with
-    /// log-sum-exp before row normalization.
-    pub fn tag_transition_matrix(&self) -> [[f64; 3]; 3] {
-        let s = self.num_states();
-        let mut logits = [[f64::NEG_INFINITY; 3]; 3];
-        for prev in 0..s {
-            let py = self.space.tag_of(prev);
-            for &cur in self.space.next_states(prev) {
-                let cy = self.space.tag_of(cur as usize);
-                let w = self.trans_w(prev, cur as usize);
-                let cell = &mut logits[py][cy];
-                // log-sum-exp accumulate
-                if *cell == f64::NEG_INFINITY {
-                    *cell = w;
-                } else {
-                    let m = cell.max(w);
-                    *cell = m + ((*cell - m).exp() + (w - m).exp()).ln();
-                }
-            }
-        }
-        let mut out = [[0.0; 3]; 3];
-        for y in 0..3 {
-            let m = logits[y].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let z: f64 = logits[y].iter().map(|l| (l - m).exp()).sum();
-            for yp in 0..3 {
-                out[y][yp] = (logits[y][yp] - m).exp() / z;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -246,34 +210,5 @@ mod tests {
         // positions: 0 has feat 0 tag O -> 1.5 + init 0.3; transition O->B 0.7
         let score = crf.path_log_score(&s, &[O, B, I]);
         assert!((score - (1.5 + 0.3 + 0.7)).abs() < 1e-12, "score = {score}");
-    }
-
-    #[test]
-    fn tag_transitions_are_stochastic() {
-        for order in [Order::One, Order::Two] {
-            let mut crf = ChainCrf::new(order, 1);
-            let mut p = vec![0.0; crf.num_params()];
-            for (i, v) in p.iter_mut().enumerate() {
-                *v = (i as f64 * 0.37).sin();
-            }
-            crf.set_params(p);
-            let t = crf.tag_transition_matrix();
-            for row in t {
-                let sum: f64 = row.iter().sum();
-                assert!((sum - 1.0).abs() < 1e-9);
-                assert!(row.iter().all(|&x| x >= 0.0));
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_weights_give_uniform_transitions() {
-        let crf = ChainCrf::new(Order::One, 1);
-        let t = crf.tag_transition_matrix();
-        for row in t {
-            for x in row {
-                assert!((x - 1.0 / 3.0).abs() < 1e-12);
-            }
-        }
     }
 }

@@ -9,70 +9,6 @@
 /// `u32`, so the edge arrays must stay addressable by one.
 pub const MAX_EDGES: usize = u32::MAX as usize;
 
-/// A rejected [`KnnGraph::try_from_adjacency`]: the adjacency lists
-/// describe a graph the `u32` CSR layout cannot represent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GraphBuildError {
-    /// Total edge count exceeds [`MAX_EDGES`]; storing it would
-    /// silently truncate the offsets.
-    TooManyEdges {
-        /// The offending total.
-        edges: usize,
-    },
-    /// An adjacency list names a neighbour outside `0..vertices` —
-    /// propagation would index past the belief arrays.
-    NeighborOutOfRange {
-        /// Vertex whose list holds the bad entry.
-        vertex: usize,
-        /// The out-of-range neighbour id.
-        neighbor: u32,
-        /// Number of vertices the lists describe.
-        vertices: usize,
-    },
-}
-
-impl std::fmt::Display for GraphBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphBuildError::TooManyEdges { edges } => write!(
-                f,
-                "adjacency lists hold {edges} edges, but u32 CSR offsets \
-                 address at most {MAX_EDGES}"
-            ),
-            GraphBuildError::NeighborOutOfRange { vertex, neighbor, vertices } => write!(
-                f,
-                "vertex {vertex} lists neighbour {neighbor}, but the graph \
-                 has only {vertices} vertices"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for GraphBuildError {}
-
-/// The edge-count precondition shared by both constructors, with the
-/// limit injectable so tests can exercise the overflow path without
-/// allocating [`MAX_EDGES`] real edges.
-fn check_edge_count(total: usize, max_edges: usize) -> Result<(), GraphBuildError> {
-    if total > max_edges {
-        return Err(GraphBuildError::TooManyEdges { edges: total });
-    }
-    Ok(())
-}
-
-/// The neighbour-range precondition of the fallible constructor.
-fn check_neighbor_range(adj: &[Vec<(u32, f32)>]) -> Result<(), GraphBuildError> {
-    let n = adj.len();
-    for (vertex, list) in adj.iter().enumerate() {
-        for &(neighbor, _) in list {
-            if neighbor as usize >= n {
-                return Err(GraphBuildError::NeighborOutOfRange { vertex, neighbor, vertices: n });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Directed k-NN graph in CSR layout.
 #[derive(Clone, Debug)]
 pub struct KnnGraph {
@@ -85,56 +21,31 @@ pub struct KnnGraph {
 impl KnnGraph {
     /// Build from per-vertex adjacency lists (already truncated to the
     /// k nearest). Panics if the total edge count overflows the `u32`
-    /// CSR offsets ([`MAX_EDGES`]) — use
-    /// [`KnnGraph::try_from_adjacency`] to handle that case as a value.
+    /// CSR offsets ([`MAX_EDGES`]).
     pub fn from_adjacency(adj: Vec<Vec<(u32, f32)>>, k: usize) -> KnnGraph {
         let total: usize = adj.iter().map(Vec::len).sum();
         assert!(
             total <= MAX_EDGES,
-            "graph has {total} edges, overflowing the u32 CSR offsets \
-             (max {MAX_EDGES}); use try_from_adjacency to handle this"
+            "graph has {total} edges, overflowing the u32 CSR offsets (max {MAX_EDGES})"
         );
-        Self::build(adj, k, total)
-    }
-
-    /// Fallible [`KnnGraph::from_adjacency`]: returns a typed
-    /// [`GraphBuildError`] instead of panicking when the edge count
-    /// exceeds what `u32` CSR offsets can address or a list names a
-    /// neighbour outside the vertex range (the panicking constructor
-    /// only catches that in debug builds).
-    pub fn try_from_adjacency(
-        adj: Vec<Vec<(u32, f32)>>,
-        k: usize,
-    ) -> Result<KnnGraph, GraphBuildError> {
-        Self::try_from_adjacency_with_limit(adj, k, MAX_EDGES)
-    }
-
-    /// [`KnnGraph::try_from_adjacency`] with the edge budget as a
-    /// parameter, so tests can drive the overflow path with small
-    /// inputs instead of `u32::MAX` real edges.
-    fn try_from_adjacency_with_limit(
-        adj: Vec<Vec<(u32, f32)>>,
-        k: usize,
-        max_edges: usize,
-    ) -> Result<KnnGraph, GraphBuildError> {
-        let total: usize = adj.iter().map(Vec::len).sum();
-        check_edge_count(total, max_edges)?;
-        check_neighbor_range(&adj)?;
-        Ok(Self::build(adj, k, total))
-    }
-
-    fn build(adj: Vec<Vec<(u32, f32)>>, k: usize, total: usize) -> KnnGraph {
         let n = adj.len();
+        // alloc: the three CSR arrays, each sized exactly once per graph
         let mut offsets = Vec::with_capacity(n + 1);
+        // alloc: exact-size edge array (`total` counted above)
         let mut neighbors = Vec::with_capacity(total);
+        // alloc: exact-size weight array, parallel to `neighbors`
         let mut weights = Vec::with_capacity(total);
+        // alloc: within the with_capacity reservation
         offsets.push(0u32);
         for list in adj {
             for (nb, w) in list {
                 debug_assert!((nb as usize) < n, "neighbour out of range");
+                // alloc: within the with_capacity reservation
                 neighbors.push(nb);
+                // alloc: within the with_capacity reservation
                 weights.push(w);
             }
+            // alloc: within the with_capacity reservation
             offsets.push(neighbors.len() as u32);
         }
         KnnGraph { k, offsets, neighbors, weights }
@@ -233,31 +144,6 @@ impl KnnGraph {
             roots.insert(r);
         }
         roots.len()
-    }
-
-    /// The undirected closure: every edge `u → v` gains the reverse
-    /// edge `v → u` with the same weight, and duplicate directions of a
-    /// mutual edge collapse to one entry per direction. Cosine
-    /// similarity is symmetric, so the two directions of a mutual edge
-    /// already carry equal weights and the closure is well defined.
-    /// Out-degrees can exceed `k` afterwards (a hub vertex is "nearest"
-    /// to many others); [`KnnGraph::k`] still reports the construction
-    /// `k`. Adjacency lists come out sorted by neighbour id, so the
-    /// result is deterministic regardless of this graph's edge order.
-    pub fn symmetrized(&self) -> KnnGraph {
-        let n = self.num_vertices();
-        let mut adj: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n];
-        for u in 0..n as u32 {
-            for (v, w) in self.neighbors(u) {
-                adj[u as usize].push((v, w));
-                adj[v as usize].push((u, w));
-            }
-        }
-        for list in adj.iter_mut() {
-            list.sort_unstable_by_key(|&(nb, _)| nb);
-            list.dedup_by_key(|&mut (nb, _)| nb);
-        }
-        KnnGraph::from_adjacency(adj, self.k)
     }
 
     /// Size of the largest weakly connected component.
@@ -377,26 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetrized_adds_reverse_edges_once() {
-        let g = cyclic().symmetrized();
-        // 4 directed edges, none mutual → 8 after closure
-        assert_eq!(g.num_edges(), 8);
-        for v in 0..g.num_vertices() as u32 {
-            for (nb, w) in g.neighbors(v) {
-                let back = g.neighbors(nb).find(|&(b, _)| b == v);
-                assert_eq!(back, Some((v, w)), "edge {v} → {nb} lacks its reverse");
-            }
-        }
-        // already-symmetric graphs are a fixed point
-        let h = g.symmetrized();
-        assert_eq!(h.num_edges(), g.num_edges());
-        for v in 0..g.num_vertices() as u32 {
-            assert_eq!(g.neighbors(v).collect::<Vec<_>>(), h.neighbors(v).collect::<Vec<_>>());
-        }
-        assert_eq!(g.k(), 1);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = KnnGraph::from_adjacency(vec![], 10);
         assert_eq!(g.num_vertices(), 0);
@@ -418,84 +284,24 @@ mod tests {
     }
 
     #[test]
-    fn edge_count_guard_accepts_up_to_u32_max() {
-        assert_eq!(check_edge_count(0, MAX_EDGES), Ok(()));
-        assert_eq!(check_edge_count(MAX_EDGES, MAX_EDGES), Ok(()));
-        assert_eq!(
-            check_edge_count(MAX_EDGES + 1, MAX_EDGES),
-            Err(GraphBuildError::TooManyEdges { edges: MAX_EDGES + 1 })
-        );
-    }
-
-    #[test]
-    fn try_from_adjacency_rejects_edge_overflow() {
-        // 4 vertices, 4 edges, budget of 3 — the injected limit drives
-        // the same rejection path `MAX_EDGES` would at u32::MAX edges.
-        let adj = vec![vec![(1, 0.5)], vec![(2, 0.4)], vec![(0, 0.3)], vec![(0, 0.9)]];
-        let err = KnnGraph::try_from_adjacency_with_limit(adj.clone(), 1, 3)
-            .expect_err("4 edges over a 3-edge budget");
-        assert_eq!(err, GraphBuildError::TooManyEdges { edges: 4 });
-        // exactly at the budget is fine
-        assert!(KnnGraph::try_from_adjacency_with_limit(adj, 1, 4).is_ok());
-    }
-
-    #[test]
-    fn try_from_adjacency_rejects_out_of_range_neighbors() {
-        // vertex 1 points at vertex 7 of a 3-vertex graph
-        let adj = vec![vec![(1, 0.5)], vec![(7, 0.4)], vec![(0, 0.3)]];
-        let err = KnnGraph::try_from_adjacency(adj, 1).expect_err("neighbour 7 of 3");
-        assert_eq!(
-            err,
-            GraphBuildError::NeighborOutOfRange { vertex: 1, neighbor: 7, vertices: 3 }
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("vertex 1"), "{msg}");
-        assert!(msg.contains("neighbour 7"), "{msg}");
-        assert!(msg.contains("3 vertices"), "{msg}");
-    }
-
-    #[test]
-    fn try_from_adjacency_overflow_check_runs_before_range_check() {
-        // both preconditions violated: the cheap O(n) edge count wins
-        let adj = vec![vec![(9, 0.5), (8, 0.4)], vec![(0, 0.3)]];
-        let err = KnnGraph::try_from_adjacency_with_limit(adj, 2, 2)
-            .expect_err("3 edges over a 2-edge budget");
-        assert!(matches!(err, GraphBuildError::TooManyEdges { edges: 3 }));
-    }
-
-    #[test]
-    fn try_from_adjacency_accepts_asymmetric_lists() {
+    fn from_adjacency_accepts_asymmetric_lists() {
         // directed kNN lists are legitimately asymmetric (0→1 without
-        // 1→0); only symmetrized() closes them. Asymmetry must not be
-        // confused with invalidity.
-        let adj = vec![vec![(1, 0.5)], vec![], vec![(0, 0.2)]];
-        let g = KnnGraph::try_from_adjacency(adj, 1).expect("asymmetric but valid");
+        // 1→0). Asymmetry must not be confused with invalidity.
+        let g = KnnGraph::from_adjacency(vec![vec![(1, 0.5)], vec![], vec![(0, 0.2)]], 1);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.out_degree(1), 0);
-        let sym = g.symmetrized();
-        assert_eq!(sym.out_degree(1), 1, "symmetrization adds the reverse edge");
+        assert_eq!(g.neighbors(2).collect::<Vec<_>>(), vec![(0, 0.2)]);
     }
 
     #[test]
-    fn try_from_adjacency_builds_identically() {
-        let adj = vec![vec![(1, 0.5)], vec![(2, 0.4)], vec![(0, 0.3)], vec![(0, 0.9)]];
-        let checked = KnnGraph::try_from_adjacency(adj, 1).expect("within edge budget");
-        let plain = cyclic();
-        assert_eq!(checked.num_vertices(), plain.num_vertices());
-        assert_eq!(checked.num_edges(), plain.num_edges());
-        for v in 0..4u32 {
-            assert_eq!(
-                checked.neighbors(v).collect::<Vec<_>>(),
-                plain.neighbors(v).collect::<Vec<_>>()
-            );
+    fn from_adjacency_keeps_every_list_in_order() {
+        let adj = vec![vec![(2, 0.5), (1, 0.7)], vec![], vec![(0, 0.3), (1, 0.1)]];
+        let g = KnnGraph::from_adjacency(adj.clone(), 2);
+        assert_eq!(g.k(), 2);
+        assert_eq!(g.num_vertices(), adj.len());
+        assert_eq!(g.num_edges(), 4);
+        for (v, list) in adj.iter().enumerate() {
+            assert_eq!(&g.neighbors(v as u32).collect::<Vec<_>>(), list);
         }
-    }
-
-    #[test]
-    fn edge_overflow_error_names_the_count() {
-        let err = GraphBuildError::TooManyEdges { edges: MAX_EDGES + 7 };
-        let msg = err.to_string();
-        assert!(msg.contains(&(MAX_EDGES + 7).to_string()), "{msg}");
-        assert!(msg.contains(&MAX_EDGES.to_string()), "{msg}");
     }
 }

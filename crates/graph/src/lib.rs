@@ -24,7 +24,7 @@ pub mod propagate;
 pub mod shard;
 pub mod sparse;
 
-pub use graph::{histogram, GraphBuildError, Histogram, KnnGraph, MAX_EDGES};
+pub use graph::{histogram, Histogram, KnnGraph, MAX_EDGES};
 pub use knn::knn_inverted_index;
 pub use pmi::VertexFeatureCounts;
 pub use propagate::{

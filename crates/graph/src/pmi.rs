@@ -68,11 +68,6 @@ impl VertexFeatureCounts {
         self.grand_total
     }
 
-    /// Number of distinct `(vertex, feature)` pairs seen.
-    pub fn num_pairs(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
-    }
-
     /// Raw PMI of one pair:
     /// `ln( c(v,f)·N / (c(v)·c(f)) )`, or `None` if the pair was never
     /// seen.
@@ -188,7 +183,9 @@ mod tests {
     fn totals_track_additions() {
         let c = VertexFeatureCounts::from_occurrences(vec![vec![1, 0, 1, 0, 1]]);
         assert_eq!(c.total(), 5.0);
-        assert_eq!(c.num_pairs(), 2);
+        // two distinct pairs, (0,0) and (0,1); feature 2 never co-occurs
+        assert!(c.pmi(0, 0).is_some());
+        assert_eq!(c.pmi(0, 2), None);
         // c(0,1) = 3 of N = 5, c(v) = 5, c(f) = 3: PMI 0
         assert_eq!(c.pmi(0, 1), Some(0.0));
     }

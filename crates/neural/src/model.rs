@@ -592,4 +592,31 @@ mod tests {
         let model = TrainedLstmCrf::train(&train, &dev, &cfg);
         assert!(model.predict(&Sentence::unlabelled("e", vec![])).is_empty());
     }
+
+    #[test]
+    fn batch_tagging_matches_per_sentence_predict() {
+        let (train, dev) = toy_corpora();
+        let cfg = LstmCrfConfig { epochs: 2, ..quick_cfg() };
+        let model = TrainedLstmCrf::train(&train, &dev, &cfg);
+        let texts = [
+            "the WT1 gene was expressed",
+            "the patient was treated well",
+            "the IDH2 gene",
+            "KRAS",
+            "the NRAS gene was expressed in the patient",
+        ];
+        let batch: Vec<Sentence> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Sentence::unlabelled(format!("b{i}"), tokenize(t)))
+            .collect();
+        let tagged = model.try_tag_batch(&batch).expect("valid batch");
+        let one_by_one: Vec<Vec<BioTag>> = batch.iter().map(|s| model.predict(s)).collect();
+        assert_eq!(tagged, one_by_one);
+
+        let mut with_empties = batch;
+        with_empties[1] = Sentence::unlabelled("e1", vec![]);
+        with_empties[3] = Sentence::unlabelled("e3", vec![]);
+        assert_eq!(model.try_tag_batch(&with_empties), Err(TagError::EmptySentence { index: 1 }));
+    }
 }

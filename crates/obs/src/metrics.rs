@@ -5,10 +5,10 @@
 //! [`histogram`], but tests build isolated `Registry::new()` instances.
 //! Handles are `Arc`s, so call sites can cache them across hot loops.
 //!
-//! Export is deliberately dependency-free: [`Registry::export_json`]
-//! emits one JSON object, [`Registry::export_jsonl`] one JSON object
-//! per line, both with metrics sorted by name so output is stable and
-//! diffable. Non-finite floats export as `null` to stay valid JSON.
+//! Export is deliberately dependency-free: [`Registry::export_jsonl`]
+//! emits one JSON object per line, with metrics sorted by name so
+//! output is stable and diffable. Non-finite floats export as `null` to
+//! stay valid JSON.
 
 use crate::json::{json_number, json_opt_number, json_string};
 use std::collections::BTreeMap;
@@ -308,14 +308,6 @@ impl Registry {
         }
         out
     }
-
-    /// The same content as [`Registry::export_jsonl`] wrapped into one
-    /// JSON object: `{"metrics":[...]}`.
-    pub fn export_json(&self) -> String {
-        let jsonl = self.export_jsonl();
-        let body: Vec<&str> = jsonl.lines().collect();
-        format!("{{\"metrics\":[{}]}}", body.join(","))
-    }
 }
 
 /// The global counter named `name`.
@@ -465,9 +457,6 @@ mod tests {
             "{\"type\":\"histogram\",\"name\":\"graph.degree\",\"count\":3,\"sum\":12,"
         ));
         assert!(lines[2].ends_with("}"));
-        // the wrapped object is the same lines joined with commas
-        let json = registry.export_json();
-        assert_eq!(json, format!("{{\"metrics\":[{}]}}", lines.join(",")));
     }
 
     #[test]

@@ -380,18 +380,18 @@ fn main() {
         p99 * 1e3
     );
 
+    let report = BenchReport {
+        schema_version: SCHEMA_VERSION,
+        scale: args.scale,
+        iters: args.requests as u64,
+        stages: vec![
+            latency_stage("serve.latency_p50", p50),
+            latency_stage("serve.latency_p95", p95),
+            latency_stage("serve.latency_p99", p99),
+            latency_stage("serve.secs_per_request", wall_seconds / args.requests as f64),
+        ],
+    };
     if let Some(path) = &args.bench_out {
-        let report = BenchReport {
-            schema_version: SCHEMA_VERSION,
-            scale: args.scale,
-            iters: args.requests as u64,
-            stages: vec![
-                latency_stage("serve.latency_p50", p50),
-                latency_stage("serve.latency_p95", p95),
-                latency_stage("serve.latency_p99", p99),
-                latency_stage("serve.secs_per_request", wall_seconds / args.requests as f64),
-            ],
-        };
         std::fs::write(path, report.to_json()).expect("write --bench-out report");
         eprintln!("loadgen: report written to {path}");
     }
@@ -425,18 +425,7 @@ fn main() {
             eprintln!("loadgen: baseline {path} unreadable: {e}");
             std::process::exit(2);
         });
-        let fresh = BenchReport {
-            schema_version: SCHEMA_VERSION,
-            scale: args.scale,
-            iters: args.requests as u64,
-            stages: vec![
-                latency_stage("serve.latency_p50", p50),
-                latency_stage("serve.latency_p95", p95),
-                latency_stage("serve.latency_p99", p99),
-                latency_stage("serve.secs_per_request", wall_seconds / args.requests as f64),
-            ],
-        };
-        let regressions = perf::compare(&baseline, &fresh, DEFAULT_TOLERANCE);
+        let regressions = perf::compare(&baseline, &report, DEFAULT_TOLERANCE);
         if regressions.is_empty() {
             eprintln!(
                 "loadgen: no regression against {path} ({} stages within {:.0}%)",

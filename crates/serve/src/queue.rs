@@ -111,11 +111,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeue immediately if an item is waiting.
-    pub fn try_pop(&self) -> Option<T> {
-        self.lock().items.pop_front()
-    }
-
     /// Current depth.
     pub fn depth(&self) -> usize {
         self.lock().items.len()
@@ -126,11 +121,6 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
-    }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 }
 
@@ -172,7 +162,7 @@ mod tests {
         let clock = Stopwatch::start();
         assert_eq!(q.pop_timeout(Duration::from_millis(10)), PopResult::TimedOut);
         assert!(clock.elapsed_seconds() >= 0.009);
-        assert_eq!(q.try_pop(), None);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -181,7 +171,6 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
-        assert!(q.is_closed());
         match q.try_push(3) {
             Err(PushError::Closed(item)) => assert_eq!(item, 3),
             other => panic!("expected Closed, got {other:?}"),
