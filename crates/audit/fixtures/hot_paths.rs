@@ -1,5 +1,4 @@
-//@ scan-as: crates/graph/src/fixture_hot.rs
-//! Self-test fixture: the hot-path families. `// hot:` seeds the root,
+//! Audit fixture: the hot-path families. `// hot:` seeds the root,
 //! the symbol-graph walk pulls `reached_helper` into the hot set, and
 //! `cold_fn` stays outside it — every finding below must be exactly
 //! the marked ones, nothing more.

@@ -19,12 +19,50 @@
 //! std-shadowed callee names never resolve, so the hot set — and with
 //! it every finding — can only under-report.
 
-use crate::rules::{Finding, Rule};
 use crate::symbols::FileIndex;
 use crate::symgraph::SymbolGraph;
 
+/// Identifier of one hot-path rule family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rule {
+    /// Uncontracted allocation call site in a hot-reachable function.
+    HotAlloc,
+    /// Unchecked index arithmetic in a hot-reachable function.
+    HotOverflow,
+}
+
+impl Rule {
+    /// The rule's stable string id (used in findings and fixture
+    /// markers).
+    pub fn id(self) -> &'static str {
+        match self {
+            Rule::HotAlloc => "hot-alloc",
+            Rule::HotOverflow => "hot-overflow",
+        }
+    }
+}
+
+/// One policy violation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Finding {
+    /// The violated rule.
+    pub rule: Rule,
+    /// Workspace-relative path of the offending file.
+    pub path: String,
+    /// 1-based line number.
+    pub line: usize,
+    /// Human-readable description of the match.
+    pub what: String,
+}
+
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}: [{}] {}", self.path, self.line, self.rule.id(), self.what)
+    }
+}
+
 /// Run the two hot-path families over the hot-reachable set of the
-/// symbol graph linking `files` (pass 2).
+/// symbol graph linking `files`.
 pub fn check(files: &[FileIndex]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (fi, gi) in SymbolGraph::link(files).hot_reachability() {

@@ -1,36 +1,28 @@
 //! A lightweight Rust lexer — just enough syntax to audit policy.
 //!
-//! The audit rules need to see identifiers, punctuation and literal
-//! *kinds* with accurate line numbers, while never being fooled by the
-//! contents of strings or comments (a doc comment mentioning
-//! `unwrap()` is not a violation). Full parsing is deliberately out of
-//! scope: the rules are token-pattern matchers, and a token stream
-//! that faithfully skips comments, all string flavours (including raw
-//! and byte strings), char literals vs. lifetimes, and numeric
-//! literals (including float detection) is sufficient for every rule
-//! the project enforces.
+//! The hot-path rules need to see identifiers, punctuation and the
+//! `::` path separator with accurate line numbers, while never being
+//! fooled by the contents of strings or comments (a doc comment
+//! mentioning `.push()` is not an allocation). Full parsing is
+//! deliberately out of scope: a token stream that faithfully skips
+//! comments, all string flavours (including raw and byte strings),
+//! char literals vs. lifetimes, and numeric literals (including
+//! `1.max` and `0..2`, which are not floats) is sufficient.
 
 /// What kind of token this is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// An identifier or keyword, e.g. `unwrap`, `std`, `mod`.
+    /// An identifier or keyword, e.g. `push`, `std`, `mod`.
     Ident(String),
     /// A single punctuation character (`.`, `{`, `(`, `!`, …).
-    /// Multi-character operators the rules care about are fused into
-    /// [`TokenKind::Op`].
     Punct(char),
-    /// A fused multi-character operator: `==`, `!=`, `<=`, `>=`, `::`,
-    /// `->`, `=>`, `..`.
-    Op(&'static str),
-    /// An integer literal (including hex/octal/binary forms).
-    Int,
-    /// A floating-point literal (`1.0`, `1.`, `1e-6`, `2.5f32`).
-    Float,
-    /// Any string literal (`"…"`, `r#"…"#`, `b"…"`), carrying its raw
-    /// inner text (escape sequences left verbatim). Rules never match
-    /// *inside* the payload accidentally — it only surfaces through
-    /// [`Token::str_lit`].
-    Str(String),
+    /// The path separator `::`, the one fused operator the rules read.
+    PathSep,
+    /// A numeric literal in any form (`42`, `0xff`, `1e-6`, `2.5f32`).
+    Num,
+    /// Any string literal (`"…"`, `r#"…"#`, `b"…"`, `b'…'`); its
+    /// contents are skipped.
+    Str,
     /// A character literal (`'x'`, `'\n'`).
     Char,
     /// A lifetime (`'a`, `'static`).
@@ -72,7 +64,7 @@ impl Comment {
     }
 }
 
-/// Tokens plus captured comments, from [`tokenize_full`].
+/// Tokens plus captured comments, from [`tokenize`].
 #[derive(Clone, Debug, Default)]
 pub struct LexOutput {
     /// The token stream (comments and whitespace skipped).
@@ -100,32 +92,17 @@ impl Token {
         self.kind == TokenKind::Punct(c)
     }
 
-    /// Whether this token is the fused operator `op`.
-    pub fn is_op(&self, op: &str) -> bool {
-        matches!(&self.kind, TokenKind::Op(o) if *o == op)
+    /// Whether this token is the path separator `::`.
+    pub fn is_path_sep(&self) -> bool {
+        self.kind == TokenKind::PathSep
     }
-
-    /// The raw inner text, if this token is a string literal.
-    pub fn str_lit(&self) -> Option<&str> {
-        match &self.kind {
-            TokenKind::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Tokenize Rust source. Comments are skipped (line numbers still
-/// advance through them); char contents are discarded, string contents
-/// ride on [`TokenKind::Str`].
-pub fn tokenize(source: &str) -> Vec<Token> {
-    tokenize_full(source).tokens
 }
 
 /// Tokenize Rust source, also capturing every comment with its line
 /// span and interior text — the input to the symbol-index pass, whose
 /// hot-path annotations (`// hot:`, `// alloc:`, `// bound:`) live in
-/// comments.
-pub fn tokenize_full(source: &str) -> LexOutput {
+/// comments. Line numbers advance through comments and strings.
+pub fn tokenize(source: &str) -> LexOutput {
     Lexer {
         chars: source.chars().collect(),
         pos: 0,
@@ -144,6 +121,16 @@ struct Lexer {
     comments: Vec<Comment>,
 }
 
+/// Characters that continue an identifier or a literal suffix.
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Characters that continue a run of decimal digits.
+fn is_digit(c: char) -> bool {
+    c.is_ascii_digit() || c == '_'
+}
+
 impl Lexer {
     fn peek(&self, ahead: usize) -> Option<char> {
         self.chars.get(self.pos + ahead).copied()
@@ -158,6 +145,12 @@ impl Lexer {
             }
         }
         c
+    }
+
+    fn eat_while(&mut self, pred: fn(char) -> bool) {
+        while self.peek(0).is_some_and(pred) {
+            self.bump();
+        }
     }
 
     fn push(&mut self, kind: TokenKind, line: usize) {
@@ -175,16 +168,24 @@ impl Lexer {
                 '/' if self.peek(1) == Some('*') => self.lex_block_comment(line),
                 '\'' => self.lex_quote(line),
                 '"' => {
-                    let text = self.lex_string();
-                    self.push(TokenKind::Str(text), line);
+                    self.lex_string();
+                    self.push(TokenKind::Str, line);
                 }
                 'r' | 'b' if self.is_string_prefix() => {
-                    let text = self.lex_prefixed_string();
-                    self.push(TokenKind::Str(text), line);
+                    self.lex_prefixed_string();
+                    self.push(TokenKind::Str, line);
                 }
                 c if c.is_alphabetic() || c == '_' => self.lex_ident(line),
                 c if c.is_ascii_digit() => self.lex_number(line),
-                _ => self.lex_punct(line),
+                ':' if self.peek(1) == Some(':') => {
+                    self.bump();
+                    self.bump();
+                    self.push(TokenKind::PathSep, line);
+                }
+                c => {
+                    self.bump();
+                    self.push(TokenKind::Punct(c), line);
+                }
             }
         }
         LexOutput { tokens: self.tokens, comments: self.comments }
@@ -194,13 +195,11 @@ impl Lexer {
         self.bump(); // '/'
         self.bump(); // '/'
         let mut text = String::new();
-        while let Some(c) = self.peek(0) {
+        while let Some(c) = self.bump() {
             if c == '\n' {
-                self.bump();
                 break;
             }
             text.push(c);
-            self.bump();
         }
         self.comments.push(Comment { line, end_line: line, text });
     }
@@ -238,32 +237,24 @@ impl Lexer {
 
     /// `'` starts either a char literal or a lifetime. A lifetime is
     /// `'ident` *not* followed by a closing `'`; everything else (`'x'`,
-    /// `'\n'`, `'\''`) is a char literal.
+    /// `'\n'`, `'\''`, `'"'`) is a char literal.
     fn lex_quote(&mut self, line: usize) {
         self.bump(); // opening '
         match self.peek(0) {
             Some('\\') => {
-                // escaped char literal: consume escape then closing '
+                // escaped char literal: the escape, then everything up
+                // to the closing ' (unicode escapes \u{…} included)
                 self.bump();
-                self.bump(); // the escaped character
-                             // unicode escapes \u{…} span to the closing brace
-                while let Some(c) = self.peek(0) {
-                    self.bump();
+                self.bump();
+                while let Some(c) = self.bump() {
                     if c == '\'' {
                         break;
                     }
                 }
                 self.push(TokenKind::Char, line);
             }
-            Some(c) if (c.is_alphanumeric() || c == '_') && self.peek(1) != Some('\'') => {
-                // lifetime: consume the identifier
-                while let Some(c) = self.peek(0) {
-                    if c.is_alphanumeric() || c == '_' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
+            Some(c) if is_word(c) && self.peek(1) != Some('\'') => {
+                self.eat_while(is_word);
                 self.push(TokenKind::Lifetime, line);
             }
             Some(_) => {
@@ -276,12 +267,10 @@ impl Lexer {
     }
 
     /// Whether the current `r`/`b` begins a raw/byte string rather
-    /// than an identifier (`r#"…"#`, `br"…"`, `b"…"`, `b'…'` handled
-    /// separately).
+    /// than an identifier (`r#"…"#`, `br"…"`, `b"…"`, `b'…'`).
     fn is_string_prefix(&self) -> bool {
-        let c0 = self.peek(0);
         let (c1, c2) = (self.peek(1), self.peek(2));
-        match c0 {
+        match self.peek(0) {
             Some('r') => match c1 {
                 Some('"') => true,
                 // r#"…"# is a raw string; r#ident is a raw identifier
@@ -297,23 +286,13 @@ impl Lexer {
         }
     }
 
-    /// Consume a raw/byte string starting at the `r`/`b` prefix,
-    /// returning its inner text (empty for byte-char literals).
-    fn lex_prefixed_string(&mut self) -> String {
-        let mut text = String::new();
+    /// Consume a raw/byte string or byte char starting at its `r`/`b`
+    /// prefix.
+    fn lex_prefixed_string(&mut self) {
         let mut raw = false;
-        // consume prefix letters
-        while let Some(c) = self.peek(0) {
-            match c {
-                'r' => {
-                    raw = true;
-                    self.bump();
-                }
-                'b' => {
-                    self.bump();
-                }
-                _ => break,
-            }
+        while let Some(c @ ('r' | 'b')) = self.peek(0) {
+            raw |= c == 'r';
+            self.bump();
         }
         if raw {
             let mut hashes = 0usize;
@@ -322,34 +301,17 @@ impl Lexer {
                 self.bump();
             }
             self.bump(); // opening quote
-                         // raw strings end at `"` followed by `hashes` hashes
+                         // a raw string ends at the first `"` followed by `hashes` hashes
             while let Some(c) = self.bump() {
-                if c == '"' {
-                    let mut matched = 0usize;
-                    while matched < hashes && self.peek(matched) == Some('#') {
-                        matched += 1;
-                    }
-                    if matched == hashes {
-                        for _ in 0..hashes {
-                            self.bump();
-                        }
-                        break;
-                    }
-                    // Not a terminator: the quote and the hashes seen
-                    // are payload. Consume the hashes so they are not
-                    // re-read (and duplicated) by the next iteration.
-                    text.push('"');
-                    for _ in 0..matched {
+                if c == '"' && (0..hashes).all(|k| self.peek(k) == Some('#')) {
+                    for _ in 0..hashes {
                         self.bump();
-                        text.push('#');
                     }
-                    continue;
+                    break;
                 }
-                text.push(c);
             }
         } else if self.peek(0) == Some('\'') {
-            // byte char literal b'…': no text worth carrying
-            self.bump();
+            self.bump(); // byte char literal b'…'
             while let Some(c) = self.bump() {
                 if c == '\\' {
                     self.bump();
@@ -358,29 +320,20 @@ impl Lexer {
                 }
             }
         } else {
-            text = self.lex_string();
+            self.lex_string();
         }
-        text
     }
 
-    /// Consume a normal `"…"` string starting at the opening quote,
-    /// returning the raw inner text (escapes left verbatim).
-    fn lex_string(&mut self) -> String {
-        let mut text = String::new();
+    /// Consume a normal `"…"` string starting at the opening quote.
+    fn lex_string(&mut self) {
         self.bump(); // opening quote
         while let Some(c) = self.bump() {
             if c == '\\' {
-                text.push(c);
-                if let Some(esc) = self.bump() {
-                    text.push(esc);
-                }
+                self.bump();
             } else if c == '"' {
                 break;
-            } else {
-                text.push(c);
             }
         }
-        text
     }
 
     fn lex_ident(&mut self, line: usize) {
@@ -389,115 +342,38 @@ impl Lexer {
             self.bump();
             self.bump();
         }
-        let mut s = String::new();
-        while let Some(c) = self.peek(0) {
-            if c.is_alphanumeric() || c == '_' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        self.push(TokenKind::Ident(s), line);
+        let start = self.pos;
+        self.eat_while(is_word);
+        let name: String = self.chars[start..self.pos].iter().collect();
+        self.push(TokenKind::Ident(name), line);
     }
 
+    /// One numeric literal in any form — `42`, `0xff`, `1_000u64`,
+    /// `1.`, `1e-6`, `2.5e3f64` — as a single token. A `.` followed by
+    /// an identifier (`1.max`) or a second `.` (`0..2`) ends it.
     fn lex_number(&mut self, line: usize) {
-        let mut is_float = false;
-        if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x') | Some('o') | Some('b')) {
-            // radix literal: consume prefix and digits (never a float)
-            self.bump();
-            self.bump();
-            while let Some(c) = self.peek(0) {
-                if c.is_alphanumeric() || c == '_' {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            self.push(TokenKind::Int, line);
-            return;
-        }
-        while let Some(c) = self.peek(0) {
-            if c.is_ascii_digit() || c == '_' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        // fractional part: a `.` NOT followed by an identifier start or
-        // a second `.` (those are method calls and range operators)
-        if self.peek(0) == Some('.')
-            && !matches!(self.peek(1), Some(c) if c.is_alphabetic() || c == '_' || c == '.')
-        {
-            is_float = true;
-            self.bump();
-            while let Some(c) = self.peek(0) {
-                if c.is_ascii_digit() || c == '_' {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-        // exponent
-        if matches!(self.peek(0), Some('e') | Some('E')) {
-            let sign = matches!(self.peek(1), Some('+') | Some('-'));
-            let digit_at = if sign { 2 } else { 1 };
-            if matches!(self.peek(digit_at), Some(c) if c.is_ascii_digit()) {
-                is_float = true;
-                self.bump();
-                if sign {
-                    self.bump();
-                }
-                while let Some(c) = self.peek(0) {
-                    if c.is_ascii_digit() || c == '_' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        // type suffix (f32, f64, u8, usize, …)
-        if matches!(self.peek(0), Some('f')) && !is_float {
-            // 1f32 / 1f64 are floats
-            if (self.peek(1) == Some('3') && self.peek(2) == Some('2'))
-                || (self.peek(1) == Some('6') && self.peek(2) == Some('4'))
-            {
-                is_float = true;
-            }
-        }
-        while let Some(c) = self.peek(0) {
-            if c.is_alphanumeric() || c == '_' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        self.push(if is_float { TokenKind::Float } else { TokenKind::Int }, line);
-    }
-
-    fn lex_punct(&mut self, line: usize) {
-        let c = self.peek(0).unwrap_or(' ');
-        let fused: Option<&'static str> = match (c, self.peek(1)) {
-            ('=', Some('=')) => Some("=="),
-            ('!', Some('=')) => Some("!="),
-            ('<', Some('=')) => Some("<="),
-            ('>', Some('=')) => Some(">="),
-            (':', Some(':')) => Some("::"),
-            ('-', Some('>')) => Some("->"),
-            ('=', Some('>')) => Some("=>"),
-            ('.', Some('.')) => Some(".."),
-            _ => None,
-        };
-        if let Some(op) = fused {
-            self.bump();
-            self.bump();
-            self.push(TokenKind::Op(op), line);
+        if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x' | 'o' | 'b')) {
+            self.eat_while(is_word); // radix literal: never fractional
         } else {
-            self.bump();
-            self.push(TokenKind::Punct(c), line);
+            self.eat_while(is_digit);
+            if self.peek(0) == Some('.')
+                && !self.peek(1).is_some_and(|c| c.is_alphabetic() || c == '_' || c == '.')
+            {
+                self.bump();
+                self.eat_while(is_digit);
+            }
+            let sign = usize::from(matches!(self.peek(1), Some('+' | '-')));
+            if matches!(self.peek(0), Some('e' | 'E'))
+                && self.peek(1 + sign).is_some_and(|c| c.is_ascii_digit())
+            {
+                for _ in 0..=sign {
+                    self.bump();
+                }
+                self.eat_while(is_digit);
+            }
+            self.eat_while(is_word); // type suffix (`u64`, `f32`)
         }
+        self.push(TokenKind::Num, line);
     }
 }
 
@@ -506,21 +382,24 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        tokenize(src).into_iter().map(|t| t.kind).collect()
+        tokenize(src).tokens.into_iter().map(|t| t.kind).collect()
+    }
+
+    fn idents(src: &str) -> Vec<String> {
+        tokenize(src).tokens.iter().filter_map(|t| t.ident().map(str::to_string)).collect()
     }
 
     #[test]
     fn idents_and_puncts() {
-        let toks = tokenize("let x = foo.unwrap();");
-        let names: Vec<&str> = toks.iter().filter_map(|t| t.ident()).collect();
-        assert_eq!(names, vec!["let", "x", "foo", "unwrap"]);
+        let toks = tokenize("let x = foo.unwrap();").tokens;
+        assert_eq!(idents("let x = foo.unwrap();"), vec!["let", "x", "foo", "unwrap"]);
         assert!(toks.iter().any(|t| t.is_punct('.')));
         assert!(toks.iter().any(|t| t.is_punct(';')));
     }
 
     #[test]
     fn comments_are_skipped_but_lines_advance() {
-        let toks = tokenize("// unwrap() in a comment\n/* panic! *//* /* nested */ */\nfoo");
+        let toks = tokenize("// push() in a comment\n/* clone() *//* /* nested */ */\nfoo").tokens;
         assert_eq!(toks.len(), 1);
         assert!(toks[0].is_ident("foo"));
         assert_eq!(toks[0].line, 3);
@@ -528,112 +407,94 @@ mod tests {
 
     #[test]
     fn strings_hide_their_contents() {
-        let toks = tokenize(r#"let s = "unwrap() == 1.0"; x"#);
-        assert!(!toks.iter().any(|t| t.is_ident("unwrap")));
-        assert_eq!(toks.iter().filter(|t| t.str_lit().is_some()).count(), 1);
-        assert_eq!(toks.iter().find_map(|t| t.str_lit()), Some("unwrap() == 1.0"));
-        assert!(toks.iter().any(|t| t.is_ident("x")));
+        let src = r#"let s = "Vec::new() and \"push()\""; x"#;
+        assert_eq!(idents(src), vec!["let", "s", "x"]);
+        assert_eq!(kinds(src).iter().filter(|k| **k == TokenKind::Str).count(), 1);
     }
 
     #[test]
     fn raw_and_byte_strings() {
-        let toks = tokenize("r#\"has \"quotes\" and unwrap()\"# b\"bytes\" br#\"raw bytes\"# end");
-        assert_eq!(toks.iter().filter(|t| t.str_lit().is_some()).count(), 3);
-        assert_eq!(toks[0].str_lit(), Some("has \"quotes\" and unwrap()"));
-        assert_eq!(toks[1].str_lit(), Some("bytes"));
-        assert_eq!(toks[2].str_lit(), Some("raw bytes"));
-        assert!(toks.iter().any(|t| t.is_ident("end")));
-        assert!(!toks.iter().any(|t| t.is_ident("unwrap")));
+        let src = "r#\"has \"quotes\" and push()\"# b\"bytes\" br#\"raw bytes\"# b'\\'' end";
+        assert_eq!(
+            kinds(src),
+            [vec![TokenKind::Str; 4], vec![TokenKind::Ident("end".into())]].concat()
+        );
     }
 
     #[test]
     fn raw_identifiers_are_idents() {
-        let toks = tokenize("r#type r#match");
-        assert!(toks[0].is_ident("type"));
-        assert!(toks[1].is_ident("match"));
+        assert_eq!(idents("r#type r#match"), vec!["type", "match"]);
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let toks = tokenize("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; let q = '\\''; }");
-        assert_eq!(toks.iter().filter(|t| t.kind == TokenKind::Lifetime).count(), 2);
-        assert_eq!(toks.iter().filter(|t| t.kind == TokenKind::Char).count(), 3);
+        let k = kinds("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; let q = '\\''; '\"' }");
+        assert_eq!(k.iter().filter(|k| **k == TokenKind::Lifetime).count(), 2);
+        assert_eq!(k.iter().filter(|k| **k == TokenKind::Char).count(), 4);
     }
 
     #[test]
-    fn float_detection() {
-        assert_eq!(kinds("1.0"), vec![TokenKind::Float]);
-        assert_eq!(kinds("1."), vec![TokenKind::Float]);
-        assert_eq!(kinds("1e-6"), vec![TokenKind::Float]);
-        assert_eq!(kinds("2.5f32"), vec![TokenKind::Float]);
-        assert_eq!(kinds("1f64"), vec![TokenKind::Float]);
-        assert_eq!(kinds("42"), vec![TokenKind::Int]);
-        assert_eq!(kinds("0xff"), vec![TokenKind::Int]);
-        assert_eq!(kinds("1u64"), vec![TokenKind::Int]);
-        // method call on an integer is not a float
+    fn numbers_are_one_token() {
+        for lit in ["1.0", "1.", "1e-6", "2.5E+3", "2.5f32", "1f64", "42", "0xff", "1_000u64"] {
+            assert_eq!(kinds(lit), vec![TokenKind::Num], "{lit}");
+        }
+        // a method call on a literal ends the literal
         assert_eq!(
             kinds("1.max"),
-            vec![TokenKind::Int, TokenKind::Punct('.'), TokenKind::Ident("max".into())]
+            vec![TokenKind::Num, TokenKind::Punct('.'), TokenKind::Ident("max".into())]
         );
-        // range of integers is not a float
-        assert_eq!(kinds("0..2"), vec![TokenKind::Int, TokenKind::Op(".."), TokenKind::Int]);
+        assert_eq!(
+            kinds("2.5e3f64.min"),
+            vec![TokenKind::Num, TokenKind::Punct('.'), TokenKind::Ident("min".into())]
+        );
+        // so does a range
+        let dot = TokenKind::Punct('.');
+        assert_eq!(kinds("0..2"), vec![TokenKind::Num, dot.clone(), dot, TokenKind::Num]);
+        // hex digits are not an exponent
+        assert_eq!(kinds("0x1e-5").len(), 3);
     }
 
     #[test]
-    fn fused_operators() {
-        let toks = tokenize("a == b != c :: d -> e => f <= g >= h");
-        let ops: Vec<&str> = toks
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::Op(o) => Some(*o),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ops, vec!["==", "!=", "::", "->", "=>", "<=", ">="]);
+    fn path_separator_is_the_only_fused_operator() {
+        let k = kinds("a::b == c");
+        assert_eq!(k[1], TokenKind::PathSep);
+        assert_eq!(&k[3..5], &[TokenKind::Punct('='), TokenKind::Punct('=')]);
     }
 
     #[test]
     fn line_numbers_are_accurate() {
-        let toks = tokenize("a\nb\n\nc");
-        let lines: Vec<usize> = toks.iter().map(|t| t.line).collect();
+        let lines: Vec<usize> = tokenize("a\nb\n\nc").tokens.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
     }
 
     #[test]
     fn unterminated_constructs_do_not_hang() {
-        assert!(tokenize("/* never closed").is_empty());
-        assert_eq!(tokenize("\"never closed").len(), 1);
-        assert_eq!(tokenize("r#\"never closed").len(), 1);
+        assert!(tokenize("/* never closed").tokens.is_empty());
+        assert_eq!(tokenize("\"never closed").tokens.len(), 1);
+        assert_eq!(tokenize("r#\"never closed").tokens.len(), 1);
     }
 
     #[test]
-    fn raw_string_interior_quote_hash_runs_are_not_duplicated() {
-        // `"#` inside an `r##"…"##` string is payload, not a close;
-        // the old lexer re-read the partial hash run and duplicated it.
-        let toks = tokenize("r##\"a\"#b\"## end");
-        assert_eq!(toks[0].str_lit(), Some("a\"#b"));
-        assert!(toks[1].is_ident("end"));
+    fn raw_strings_close_only_on_a_full_hash_run() {
+        // `"#` inside an `r##"…"##` string is payload, not a close
+        assert_eq!(idents("r##\"a\"#b\"## end"), vec!["end"]);
         // a bare quote (zero following hashes) inside a hashed raw string
-        let toks = tokenize("r#\"say \"hi\" now\"# x");
-        assert_eq!(toks[0].str_lit(), Some("say \"hi\" now"));
-        assert!(toks[1].is_ident("x"));
+        assert_eq!(idents("r#\"say \"hi\" now\"# x"), vec!["x"]);
         // the first `"#` candidate closes an `r#` string
-        let toks = tokenize("r#\"a\"##\"#");
-        assert_eq!(toks[0].str_lit(), Some("a"));
+        assert_eq!(kinds("r#\"a\"##\"#").first(), Some(&TokenKind::Str));
     }
 
     #[test]
     fn raw_strings_spanning_lines_keep_line_numbers() {
-        let toks = tokenize("r#\"line\nline\nline\"#\nafter");
-        assert_eq!(toks[0].str_lit(), Some("line\nline\nline"));
+        let toks = tokenize("r#\"line\nline\nline\"#\nafter").tokens;
+        assert_eq!(toks[0].kind, TokenKind::Str);
         assert_eq!(toks[1].line, 4);
     }
 
     #[test]
     fn comments_are_captured_with_spans() {
-        let out = tokenize_full(
-            "// SAFETY: top\nfn f() {} // trailing\n/* block\nspans lines */\n/// doc\nx",
-        );
+        let out =
+            tokenize("// SAFETY: top\nfn f() {} // trailing\n/* block\nspans lines */\n/// doc\nx");
         let lines: Vec<(usize, usize)> =
             out.comments.iter().map(|c| (c.line, c.end_line)).collect();
         assert_eq!(lines, vec![(1, 1), (2, 2), (3, 4), (5, 5)]);
@@ -646,9 +507,8 @@ mod tests {
 
     #[test]
     fn nested_block_comments_capture_interior_and_terminate() {
-        let out = tokenize_full("/* a /* nested */ b */ after /*/ tricky */ end");
-        assert!(out.tokens.iter().any(|t| t.is_ident("after")));
-        assert!(out.tokens.iter().any(|t| t.is_ident("end")));
+        let out = tokenize("/* a /* nested */ b */ after /*/ tricky */ end");
+        assert_eq!(idents("/* a /* nested */ b */ after /*/ tricky */ end"), vec!["after", "end"]);
         assert_eq!(out.comments.len(), 2);
         assert_eq!(out.comments[0].text, " a /* nested */ b ");
         // `/*/` opens a comment whose body starts with `/`

@@ -1,7 +1,6 @@
 //! Pass 1 of the workspace analyzer: the per-file item index.
 //!
-//! The token-pattern rules in [`crate::rules`] see one token at a time;
-//! the hot-path rules in [`crate::hot`] need *structure*: which
+//! The hot-path rules in [`crate::hot`] need *structure*: which
 //! functions exist and what they call. This module parses the token
 //! stream (plus the captured comments) into a [`FileIndex`] — a
 //! deliberately shallow item model: function items with body extents,
@@ -14,7 +13,7 @@
 //! only when the callee name is unique across the workspace, which is
 //! exactly the class of edges a hot-path walk can trust.
 
-use crate::lexer::{tokenize_full, Comment, Token, TokenKind};
+use crate::lexer::{tokenize, Comment, Token, TokenKind};
 
 /// Keywords that look like call expressions (`if (…)`, `match (…)`)
 /// but are not, plus binding forms an index expression cannot follow.
@@ -105,19 +104,18 @@ impl FnItem {
 /// Everything pass 1 extracts from one file.
 #[derive(Clone, Debug)]
 pub struct FileIndex {
-    /// The path rules were scoped under (scan path for fixtures).
+    /// Workspace-relative path of the file.
     pub path: String,
     /// Function items, in source order.
     pub fns: Vec<FnItem>,
 }
 
-/// Parse one file into its [`FileIndex`]. `path` decides rule scopes
-/// (use the `//@ scan-as:` path for fixtures).
+/// Parse one file into its [`FileIndex`], reported under `path`.
 pub fn index_file(path: &str, source: &str) -> FileIndex {
-    let lexed = tokenize_full(source);
+    let lexed = tokenize(source);
     let tokens = &lexed.tokens;
     let comments = &lexed.comments;
-    let regions = crate::rules::test_regions(tokens);
+    let regions = test_regions(tokens);
     let in_test = |i: usize| regions.iter().any(|&(lo, hi)| i >= lo && i <= hi);
 
     let mut fns = collect_fns(tokens, comments, &in_test);
@@ -137,7 +135,7 @@ fn fn_body_span(tokens: &[Token], at: usize) -> std::ops::Range<usize> {
     let mut j = at + 2;
     while let Some(t) = tokens.get(j) {
         if t.is_punct('{') {
-            let close = crate::rules::matching_brace(tokens, j);
+            let close = matching_brace(tokens, j);
             return j..close + 1;
         }
         if t.is_punct(';') {
@@ -146,6 +144,114 @@ fn fn_body_span(tokens: &[Token], at: usize) -> std::ops::Range<usize> {
         j += 1;
     }
     j..j
+}
+
+/// Half-open token index ranges covered by `#[cfg(test)]`.
+///
+/// Matches the attribute token sequence `# [ cfg ( test ) ]` (also
+/// `#![cfg(test)]`), then skips any further attributes and marks the
+/// body of the annotated item — everything inside its outermost brace
+/// pair — as excluded. Items ending in `;` without a body exclude
+/// through the semicolon.
+fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut regions = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        if is_cfg_test_attr(tokens, i) {
+            // move past `# [ cfg ( test ) ]` (7 tokens, 8 with inner `!`)
+            let mut j = i + 7;
+            if tokens.get(i + 1).is_some_and(|t| t.is_punct('!')) {
+                j += 1;
+            }
+            // skip any further attributes on the same item
+            while tokens.get(j).is_some_and(|t| t.is_punct('#')) {
+                j = skip_attribute(tokens, j);
+            }
+            // find the item's body: first `{` before any `;`
+            let mut k = j;
+            let mut body = None;
+            while let Some(t) = tokens.get(k) {
+                if t.is_punct('{') {
+                    body = Some(k);
+                    break;
+                }
+                if t.is_punct(';') {
+                    break;
+                }
+                k += 1;
+            }
+            let end = match body {
+                Some(open) => matching_brace(tokens, open),
+                None => k,
+            };
+            regions.push((i, end));
+            i = end + 1;
+        } else {
+            i += 1;
+        }
+    }
+    regions
+}
+
+/// Whether `tokens[i..]` starts the attribute `#[cfg(test)]` or
+/// `#![cfg(test)]`.
+fn is_cfg_test_attr(tokens: &[Token], i: usize) -> bool {
+    let mut j = i;
+    if !tokens.get(j).is_some_and(|t| t.is_punct('#')) {
+        return false;
+    }
+    j += 1;
+    if tokens.get(j).is_some_and(|t| t.is_punct('!')) {
+        j += 1;
+    }
+    tokens.get(j).is_some_and(|t| t.is_punct('['))
+        && tokens.get(j + 1).is_some_and(|t| t.is_ident("cfg"))
+        && tokens.get(j + 2).is_some_and(|t| t.is_punct('('))
+        && tokens.get(j + 3).is_some_and(|t| t.is_ident("test"))
+        && tokens.get(j + 4).is_some_and(|t| t.is_punct(')'))
+        && tokens.get(j + 5).is_some_and(|t| t.is_punct(']'))
+}
+
+/// Index just past an attribute starting at the `#` at `i`.
+fn skip_attribute(tokens: &[Token], i: usize) -> usize {
+    let mut j = i + 1;
+    if tokens.get(j).is_some_and(|t| t.is_punct('!')) {
+        j += 1;
+    }
+    if !tokens.get(j).is_some_and(|t| t.is_punct('[')) {
+        return j;
+    }
+    let mut depth = 0usize;
+    while let Some(t) = tokens.get(j) {
+        if t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+        j += 1;
+    }
+    j
+}
+
+/// Index of the `}` matching the `{` at `open` (or the last token).
+fn matching_brace(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0usize;
+    let mut j = open;
+    while let Some(t) = tokens.get(j) {
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+        j += 1;
+    }
+    tokens.len().saturating_sub(1)
 }
 
 /// First sweep: find every `fn name` item and its flags. Nested fns
@@ -210,12 +316,21 @@ fn attribute_bodies(
 ) {
     debug_assert_eq!(spans.len(), fns.len());
 
+    let mut skip_to = 0;
     for (i, tok) in tokens.iter().enumerate() {
+        if i < skip_to {
+            continue;
+        }
+        if tok.is_punct('#') {
+            // an attribute (`#[expect(…)]`) holds no calls or sites
+            skip_to = skip_attribute(tokens, i);
+            continue;
+        }
         let Some(owner) = innermost(spans, i) else { continue };
         if let Some(name) = tok.ident() {
             let next_paren = tokens.get(i + 1).is_some_and(|t| t.is_punct('('));
             let next_bang = tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
-            let next_turbo = tokens.get(i + 1).is_some_and(|t| t.is_op("::"));
+            let next_turbo = tokens.get(i + 1).is_some_and(Token::is_path_sep);
             let prev_fn = i > 0 && tokens[i - 1].is_ident("fn");
             let prev_dot = i > 0 && tokens[i - 1].is_punct('.');
             let option_method = prev_dot && OPTION_METHODS.contains(&name);
@@ -260,7 +375,7 @@ fn attribute_bodies(
 /// (`Vec :: new`, `Vec :: < T > :: new`), if it is one of
 /// [`ALLOC_TYPES`].
 fn ctor_owner(tokens: &[Token], i: usize) -> Option<String> {
-    if i < 2 || !tokens[i - 1].is_op("::") {
+    if i < 2 || !tokens[i - 1].is_path_sep() {
         return None;
     }
     let mut j = i - 2;
@@ -283,7 +398,7 @@ fn ctor_owner(tokens: &[Token], i: usize) -> Option<String> {
             }
             j -= 1;
         }
-        if j < 2 || !tokens[j - 1].is_op("::") {
+        if j < 2 || !tokens[j - 1].is_path_sep() {
             return None;
         }
         j -= 2;
@@ -311,7 +426,7 @@ fn index_arith_site(tokens: &[Token], comments: &[Comment], open: usize) -> Opti
         // (rules out unary deref `*x` and `&*p`)
         let binary = match &inner[k - 1].kind {
             TokenKind::Ident(name) => !is_keyword_call(name),
-            TokenKind::Int | TokenKind::Float => true,
+            TokenKind::Num => true,
             TokenKind::Punct(c) => *c == ')' || *c == ']',
             _ => false,
         };
@@ -328,9 +443,9 @@ fn index_arith_site(tokens: &[Token], comments: &[Comment], open: usize) -> Opti
         .take(24)
         .map(|t| match &t.kind {
             TokenKind::Ident(s) => s.clone(),
-            TokenKind::Op(o) => (*o).to_string(),
+            TokenKind::PathSep => "::".to_string(),
             TokenKind::Punct(c) => c.to_string(),
-            TokenKind::Int | TokenKind::Float => "N".to_string(),
+            TokenKind::Num => "N".to_string(),
             _ => "_".to_string(),
         })
         .collect::<Vec<_>>()
@@ -454,6 +569,24 @@ mod tests {
         assert_eq!(a.calls, vec!["b"]);
         let b = &ix.fns[1];
         assert_eq!(b.calls, vec!["helper", "expect"]);
+    }
+
+    #[test]
+    fn cfg_test_regions_cover_their_item_and_end_at_its_brace() {
+        let src =
+            "#[cfg(test)]\nmod tests {\n fn a() { if x { y(); } }\n fn b() {}\n}\nfn c() {}\n\
+                   #[cfg(test)]\n#[allow(dead_code)]\nfn helper() {}\nfn real() {}";
+        let ix = idx(src);
+        let flags: Vec<(&str, bool)> =
+            ix.fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
+        let want = [("a", true), ("b", true), ("c", false), ("helper", true), ("real", false)];
+        assert_eq!(flags, want);
+    }
+
+    #[test]
+    fn attributes_are_not_calls() {
+        let src = "fn f(n: usize) -> u32 {\n #[expect(lint, reason = \"r\")]\n let x = g(n as u32);\n x\n}";
+        assert_eq!(idx(src).fns[0].calls, vec!["g"]);
     }
 
     #[test]

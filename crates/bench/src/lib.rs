@@ -9,6 +9,13 @@
 //! in minutes; pass `--full` for paper-sized corpora or `--scale <f>`
 //! for anything in between.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests pin deterministic float outputs exactly; the lint guards library code"
+    )
+)]
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,

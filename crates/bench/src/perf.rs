@@ -337,7 +337,7 @@ mod json {
 
         pub fn get_u64(&self, key: &str) -> Result<u64, String> {
             let n = self.get_f64(key)?;
-            if n < 0.0 || !graphner_text::exactly_zero(n.fract()) {
+            if n < 0.0 || n.fract() != 0.0 {
                 return Err(format!("{key}: expected a non-negative integer, got {n}"));
             }
             Ok(n as u64)

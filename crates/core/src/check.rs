@@ -1,6 +1,6 @@
 //! Debug-mode numeric guards — the runtime counterpart of the static
-//! policy checks (clippy's workspace lints and the `graphner-audit`
-//! pass).
+//! policy checks (clippy's workspace lints, `float_cmp` among them, and
+//! the `graphner-audit` hot-path test).
 //!
 //! Clippy and the audit enforce what the *source* must look like; this
 //! module enforces what the *numbers* must look like while the pipeline

@@ -20,7 +20,7 @@ use graphner_banner::{FeatureSet, NerModel, TokenFeatures};
 use graphner_crf::SentenceFeatures;
 use graphner_graph::{knn_inverted_index, KnnGraph, SparseVec, VertexFeatureCounts};
 use graphner_obs::{obs_debug, obs_summary, span, SpanName};
-use graphner_text::{exactly_zero, BioTag, Sentence, TrigramInterner, NUM_TAGS};
+use graphner_text::{BioTag, Sentence, TrigramInterner, NUM_TAGS};
 use rayon::prelude::*;
 #[cfg(test)]
 use rustc_hash::FxHashMap;
@@ -105,7 +105,7 @@ fn table_mi(model: &NerModel, features: &CorpusFeatures) -> Vec<f64> {
             total += 1.0;
         }
     }
-    if exactly_zero(total) {
+    if total == 0.0 {
         return vec![0.0; n];
     }
     n_f.iter()
@@ -116,7 +116,7 @@ fn table_mi(model: &NerModel, features: &CorpusFeatures) -> Vec<f64> {
             let mut m = 0.0;
             for t in 0..NUM_TAGS {
                 let pt = n_t[t] / total;
-                if exactly_zero(pt) {
+                if pt == 0.0 {
                     continue;
                 }
                 let p1t = nft[t] / total;
@@ -299,7 +299,7 @@ mod tests {
             let mut m = 0.0;
             for t in 0..3 {
                 let pt = n_t[t] / total;
-                if exactly_zero(pt) {
+                if pt == 0.0 {
                     continue;
                 }
                 let p1t = n_ft.get(&(f.clone(), t)).copied().unwrap_or(0.0) / total;

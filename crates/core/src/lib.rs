@@ -21,6 +21,13 @@
 //! let detections = annotations_from_predictions(&test, &out.predictions);
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests pin deterministic float outputs exactly; the lint guards library code"
+    )
+)]
 #![allow(
     clippy::needless_range_loop,
     reason = "index loops over parallel arrays are the clearest form for this crate's numeric \

@@ -7,6 +7,8 @@
 //! pairs agree on the shared tag. Everything downstream (inference,
 //! training) is written against this generic state space.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use graphner_text::{BioTag, NUM_TAGS};
 
 /// Markov order of the chain CRF.
@@ -30,6 +32,10 @@ pub struct StateSpace {
 
 impl StateSpace {
     /// Build the state space for a given order.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "state ids are < NUM_TAGS² = 9, so they fit u32"
+    )]
     pub fn new(order: Order) -> StateSpace {
         let n = match order {
             Order::One => NUM_TAGS,
@@ -154,6 +160,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "state ids are < 9")]
     fn gold_states_round_trip() {
         let tags = vec![O, B, I, O];
         for order in [Order::One, Order::Two] {

@@ -10,7 +10,6 @@
 use crate::lbfgs::{self, LbfgsConfig, StopReason};
 use crate::model::{ChainCrf, SentenceFeatures};
 use graphner_obs::{attr, obs_summary, span, SpanName};
-use graphner_text::exactly_zero;
 use rayon::prelude::*;
 
 /// Training configuration.
@@ -132,7 +131,7 @@ impl ChainCrf {
                 let gamma = lat.gamma(i, st);
                 // skip-zero optimization: must be exact, an epsilon
                 // would silently drop small but real gradient terms
-                if exactly_zero(gamma) {
+                if gamma == 0.0 {
                     continue;
                 }
                 for &f in &sent.obs[i] {
@@ -146,7 +145,7 @@ impl ChainCrf {
         for i in 1..l {
             for p in 0..s {
                 let ap = lat.alpha[(i - 1) * s + p];
-                if exactly_zero(ap) {
+                if ap == 0.0 {
                     continue;
                 }
                 for &c in self.space().next_states(p) {

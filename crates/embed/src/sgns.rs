@@ -11,7 +11,7 @@
 //! embeddings are bit-reproducible.
 
 use graphner_obs::obs_debug;
-use graphner_text::{approx_eq, exactly_zero};
+use graphner_text::approx_eq;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rustc_hash::FxHashMap;
@@ -76,7 +76,7 @@ impl Embeddings {
         let dot: f64 = va.iter().zip(vb).map(|(x, y)| *x as f64 * *y as f64).sum();
         let na: f64 = va.iter().map(|x| (*x as f64).powi(2)).sum::<f64>().sqrt();
         let nb: f64 = vb.iter().map(|x| (*x as f64).powi(2)).sum::<f64>().sqrt();
-        if exactly_zero(na) || exactly_zero(nb) {
+        if na == 0.0 || nb == 0.0 {
             return None;
         }
         Some(dot / (na * nb))

@@ -5,6 +5,8 @@
 //! Stored as CSR: each vertex's out-edges (its nearest neighbours) are a
 //! contiguous run of `(neighbour, weight)` pairs.
 
+#![warn(clippy::cast_possible_truncation)]
+
 /// Most directed edges a [`KnnGraph`] can hold: the CSR offsets are
 /// `u32`, so the edge arrays must stay addressable by one.
 pub const MAX_EDGES: usize = u32::MAX as usize;
@@ -46,6 +48,10 @@ impl KnnGraph {
                 weights.push(w);
             }
             // alloc: within the with_capacity reservation
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the edge count is asserted <= MAX_EDGES, which fits the u32 offsets"
+            )]
             offsets.push(neighbors.len() as u32);
         }
         KnnGraph { k, offsets, neighbors, weights }
@@ -119,6 +125,10 @@ impl KnnGraph {
     /// Number of weakly connected components (union-find over the
     /// undirected skeleton). The paper notes both corpus graphs are
     /// weakly connected, i.e. one component dominates.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "vertex ids are u32 neighbour ids, so the vertex count fits u32"
+    )]
     pub fn weakly_connected_components(&self) -> usize {
         let n = self.num_vertices();
         let mut parent: Vec<u32> = (0..n as u32).collect();
@@ -147,6 +157,10 @@ impl KnnGraph {
     }
 
     /// Size of the largest weakly connected component.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "vertex ids are u32 neighbour ids, so the vertex count fits u32"
+    )]
     pub fn largest_component_size(&self) -> usize {
         let n = self.num_vertices();
         if n == 0 {
@@ -196,6 +210,10 @@ pub fn histogram(values: &[f64], num_bins: usize) -> Histogram {
     let bin_width = if max > 0.0 { max / num_bins as f64 } else { 1.0 };
     let mut counts = vec![0usize; num_bins];
     for &v in values {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "flooring to a bin index is the intent; the cast saturates and the index is clamped below"
+        )]
         let mut b = (v / bin_width) as usize;
         if b >= num_bins {
             b = num_bins - 1;
@@ -294,6 +312,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "test graphs are tiny")]
     fn from_adjacency_keeps_every_list_in_order() {
         let adj = vec![vec![(2, 0.5), (1, 0.7)], vec![], vec![(0, 0.3), (1, 0.1)]];
         let g = KnnGraph::from_adjacency(adj.clone(), 2);

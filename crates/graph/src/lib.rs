@@ -17,6 +17,14 @@
 //! * [`propagate`] — the iterative label-propagation update of
 //!   equation (2), run shard-by-shard by the block-synchronous engine.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests pin deterministic float outputs exactly; the lint guards library code"
+    )
+)]
+
 pub mod graph;
 pub mod knn;
 pub mod pmi;

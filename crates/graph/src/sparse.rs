@@ -4,7 +4,7 @@
 //! space. They are stored as id-sorted `(u32, f32)` pairs so that dot
 //! products are a single linear merge with no hashing in the inner loop.
 
-use graphner_text::{exactly_zero, exactly_zero_f32};
+#![warn(clippy::cast_possible_truncation)]
 
 /// A sparse vector: strictly id-sorted `(feature id, value)` pairs.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -24,7 +24,7 @@ impl SparseVec {
                 _ => entries.push((id, v)),
             }
         }
-        entries.retain(|&(_, v)| !exactly_zero_f32(v));
+        entries.retain(|&(_, v)| v != 0.0);
         SparseVec { entries }
     }
 
@@ -60,6 +60,10 @@ impl SparseVec {
     pub fn normalize(&mut self) {
         let n = self.norm();
         if n > 0.0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the entries are f32, so the scale factor is rounded to f32 like them"
+            )]
             self.scale((1.0 / n) as f32);
         }
     }
@@ -87,7 +91,7 @@ impl SparseVec {
     pub fn cosine(&self, other: &SparseVec) -> f64 {
         let na = self.norm();
         let nb = other.norm();
-        if exactly_zero(na) || exactly_zero(nb) {
+        if na == 0.0 || nb == 0.0 {
             return 0.0;
         }
         self.dot(other) / (na * nb)

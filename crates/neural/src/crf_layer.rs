@@ -18,6 +18,17 @@ fn logsumexp(v: &[f64; Y]) -> f64 {
     m + v.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
 }
 
+/// Unary marginals `p(t_i = y | x) = exp(alpha + beta − log Z)`.
+fn unary_marginals(alpha: &[[f64; Y]], beta: &[[f64; Y]], log_z: f64) -> Vec<[f64; Y]> {
+    let mut marginals = vec![[0.0f64; Y]; alpha.len()];
+    for t in 0..alpha.len() {
+        for y in 0..Y {
+            marginals[t][y] = (alpha[t][y] + beta[t][y] - log_z).exp();
+        }
+    }
+    marginals
+}
+
 /// The CRF layer parameters and their gradient accumulators.
 #[derive(Clone, Debug)]
 pub struct CrfLayer {
@@ -50,32 +61,7 @@ impl CrfLayer {
         assert_eq!(gold.len(), l);
         assert!(l > 0);
 
-        // log-space forward and backward
-        let mut alpha = vec![[0.0f64; Y]; l];
-        for y in 0..Y {
-            alpha[0][y] = self.start[y] + emissions[0][y];
-        }
-        for t in 1..l {
-            for y in 0..Y {
-                let mut acc = [0.0; Y];
-                for p in 0..Y {
-                    acc[p] = alpha[t - 1][p] + self.trans[p][y];
-                }
-                alpha[t][y] = logsumexp(&acc) + emissions[t][y];
-            }
-        }
-        let log_z = logsumexp(&alpha[l - 1]);
-
-        let mut beta = vec![[0.0f64; Y]; l];
-        for t in (0..l - 1).rev() {
-            for y in 0..Y {
-                let mut acc = [0.0; Y];
-                for n in 0..Y {
-                    acc[n] = self.trans[y][n] + emissions[t + 1][n] + beta[t + 1][n];
-                }
-                beta[t][y] = logsumexp(&acc);
-            }
-        }
+        let (alpha, beta, log_z) = self.forward_backward(emissions);
 
         // gold score
         let mut gold_score = self.start[gold[0]] + emissions[0][gold[0]];
@@ -85,11 +71,8 @@ impl CrfLayer {
         let loss = log_z - gold_score;
 
         // emission gradients: unary marginals − one-hot(gold)
-        let mut demissions = vec![[0.0f64; Y]; l];
+        let mut demissions = unary_marginals(&alpha, &beta, log_z);
         for t in 0..l {
-            for y in 0..Y {
-                demissions[t][y] = (alpha[t][y] + beta[t][y] - log_z).exp();
-            }
             demissions[t][gold[t]] -= 1.0;
         }
 
@@ -115,13 +98,21 @@ impl CrfLayer {
     }
 
     /// Per-token unary marginals `p(t_i = y | x)` via forward–backward,
-    /// the same recurrences as [`loss_and_grad`](CrfLayer::loss_and_grad)
     /// without gold tags or gradient accumulation.
     pub fn marginals(&self, emissions: &[[f64; Y]]) -> Vec<[f64; Y]> {
-        let l = emissions.len();
-        if l == 0 {
+        if emissions.is_empty() {
             return Vec::new();
         }
+        let (alpha, beta, log_z) = self.forward_backward(emissions);
+        unary_marginals(&alpha, &beta, log_z)
+    }
+
+    /// Log-space forward and backward passes over non-empty
+    /// `emissions`: `(alpha, beta, log Z)`, shared by
+    /// [`loss_and_grad`](CrfLayer::loss_and_grad) and
+    /// [`marginals`](CrfLayer::marginals).
+    fn forward_backward(&self, emissions: &[[f64; Y]]) -> (Vec<[f64; Y]>, Vec<[f64; Y]>, f64) {
+        let l = emissions.len();
         let mut alpha = vec![[0.0f64; Y]; l];
         for y in 0..Y {
             alpha[0][y] = self.start[y] + emissions[0][y];
@@ -147,14 +138,7 @@ impl CrfLayer {
                 beta[t][y] = logsumexp(&acc);
             }
         }
-
-        let mut marginals = vec![[0.0f64; Y]; l];
-        for t in 0..l {
-            for y in 0..Y {
-                marginals[t][y] = (alpha[t][y] + beta[t][y] - log_z).exp();
-            }
-        }
-        marginals
+        (alpha, beta, log_z)
     }
 
     /// Viterbi decode over emissions.

@@ -7,7 +7,6 @@
 //! baselines use hidden sizes ≈ 100) and exact gradients make the
 //! finite-difference tests meaningful.
 
-use graphner_text::exactly_zero;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -165,7 +164,7 @@ impl LstmCell {
             for (row, &dzr) in dz.iter().enumerate() {
                 // skip-zero optimization: exact test, an epsilon would
                 // drop small but real gradient contributions
-                if exactly_zero(dzr) {
+                if dzr == 0.0 {
                     continue;
                 }
                 let wrow = row * self.d_in;

@@ -13,8 +13,8 @@ use crate::crf_layer::CrfLayer;
 use crate::lstm::BiLstm;
 use graphner_text::sentence::tags_to_mentions;
 use graphner_text::{
-    check_posteriors_finite, exactly_zero, is_zero, validate_sentences, BioTag, Corpus, Sentence,
-    TagError, Tagger, Vocab, NUM_TAGS,
+    check_posteriors_finite, is_zero, validate_sentences, BioTag, Corpus, Sentence, TagError,
+    Tagger, Vocab, NUM_TAGS,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -378,7 +378,7 @@ fn step(
     for t in 0..f.ctx.len() {
         for y in 0..NUM_TAGS {
             let d = dem[t][y];
-            if exactly_zero(d) {
+            if d == 0.0 {
                 continue;
             }
             gbout[y] += d;

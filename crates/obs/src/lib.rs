@@ -34,6 +34,14 @@
 //! slice of that machinery. See DESIGN.md ("Observability") for the
 //! trade-off discussion.
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        reason = "tests pin deterministic float outputs exactly; the lint guards library code"
+    )
+)]
+
 pub mod alloc;
 pub(crate) mod json;
 pub mod logger;

@@ -10,6 +10,8 @@
 //! output is stable and diffable. Non-finite floats export as `null` to
 //! stay valid JSON.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::json::{json_number, json_opt_number, json_string};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,6 +111,10 @@ fn bucket_index(value: f64) -> Option<usize> {
     if value.is_nan() || value <= FIRST_EDGE {
         return None; // underflow (also zero, negatives, NaN)
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "value > FIRST_EDGE, so the floored log is a small non-negative integer, or +inf, which saturates into the overflow arm"
+    )]
     let idx = ((value / FIRST_EDGE).log10() * BUCKETS_PER_DECADE as f64).floor() as isize;
     if idx < 0 {
         None
@@ -196,11 +202,19 @@ impl Histogram {
             // floor beats a NaN-poisoned readout downstream
             return 0.0;
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "min and max are copies of observed values, so equal bits mean exactly one distinct value"
+        )]
         if data.min == data.max {
             // one distinct finite value — report it exactly
             return data.min;
         }
         let clamp = |v: f64| v.clamp(data.min, data.max);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is clamped to [0, 1], so the rank lies in [0, count] and fits u64"
+        )]
         let rank = ((q.clamp(0.0, 1.0) * data.count as f64).ceil() as u64).max(1);
         let mut seen = data.underflow;
         if rank <= seen {
@@ -342,6 +356,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "the oracle rank is < 5000")]
     fn histogram_quantiles_match_sorted_vector_oracle() {
         // mixed-magnitude sample spanning several decades
         let h = Histogram::default();

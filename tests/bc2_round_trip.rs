@@ -1,6 +1,8 @@
 //! Cross-crate integration: the BC2GM annotation format and evaluator
 //! compose correctly with the corpus generator.
 
+#![allow(clippy::float_cmp, reason = "a perfect score is exactly 1.0, so the pins compare exactly")]
+
 use graphner::corpusgen::{generate, CorpusProfile};
 use graphner::eval::evaluate;
 use graphner::text::AnnotationSet;

@@ -251,3 +251,60 @@ proptest! {
         }
     }
 }
+
+/// Check one `read_request` outcome on untrusted bytes: it must not
+/// panic, and an accepted request stays within the head and body caps.
+fn read_request_stays_bounded(bytes: &[u8]) {
+    use graphner::serve::http::{read_request, MAX_BODY_BYTES, MAX_HEADERS};
+    if let Ok(request) = read_request(&mut std::io::Cursor::new(bytes)) {
+        assert!(request.headers.len() <= MAX_HEADERS, "{} headers", request.headers.len());
+        assert!(request.body.len() <= MAX_BODY_BYTES, "{}-byte body", request.body.len());
+    }
+}
+
+proptest! {
+    /// Arbitrary bytes: mostly rejected, never a panic.
+    #[test]
+    fn read_request_survives_arbitrary_bytes(
+        bytes in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..256),
+    ) {
+        read_request_stays_bounded(&bytes);
+    }
+
+    /// A valid request line, then arbitrary header lines (sometimes
+    /// more than `MAX_HEADERS`, now and then one without a colon), a
+    /// `content-length` that is absent, exact, arbitrary or garbage,
+    /// and an arbitrary tail.
+    #[test]
+    fn read_request_survives_hostile_heads(
+        start in (0usize..3, 0usize..2),
+        lines in prop::collection::vec(("[a-zA-Z-]{0,12}", "[ -~]{0,16}"), 0..72),
+        missing_colon in 0usize..256,
+        length in (0usize..4, 0usize..2_000_000),
+        tail in prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..64),
+    ) {
+        let eol = ["\r\n", "\n"][start.1];
+        let mut head = ["GET / HTTP/1.1", "POST /v1/tag HTTP/1.1", "post /healthz HTTP/1.0"]
+            [start.0]
+            .to_string();
+        for (i, (name, value)) in lines.iter().enumerate() {
+            head += eol;
+            head += name;
+            if i != missing_colon {
+                head += ":";
+            }
+            head += value;
+        }
+        match length.0 {
+            0 => {}
+            1 => head += &format!("{eol}content-length: {}", tail.len()),
+            2 => head += &format!("{eol}Content-Length: {}", length.1),
+            _ => head += &format!("{eol}content-length: -{}x", length.1),
+        }
+        head += eol;
+        head += eol;
+        let mut bytes = head.into_bytes();
+        bytes.extend_from_slice(&tail);
+        read_request_stays_bounded(&bytes);
+    }
+}
