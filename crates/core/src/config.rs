@@ -44,9 +44,6 @@ pub const MAX_PROPAGATION_ITERATIONS: usize = 1_000;
 /// [`ServeConfig::max_batch`]: beyond a million queued requests or
 /// sentences per flush the knob is a typo, not a tuning choice.
 pub const MAX_SERVE_QUEUE: u64 = 1 << 20;
-/// Upper bound on [`ServeConfig::linger_us`] — one minute. A batcher
-/// that lingers longer than any sane deadline is misconfigured.
-pub const MAX_LINGER_US: u64 = 60_000_000;
 /// Upper bound on [`ServeConfig::deadline_ms`] — one hour.
 pub const MAX_DEADLINE_MS: u64 = 3_600_000;
 
@@ -65,13 +62,9 @@ pub struct ServeConfig {
     /// `Retry-After` instead of buffering without limit.
     pub queue_capacity: usize,
     /// Maximum sentences the batcher coalesces into one `try_tag_batch`
-    /// call before flushing.
+    /// call before flushing. The batcher never waits to fill a batch:
+    /// it flushes whatever is already queued.
     pub max_batch: usize,
-    /// Maximum microseconds the batcher lingers waiting for more
-    /// requests after the first one arrives; flushing on whichever of
-    /// linger/`max_batch` trips first bounds the latency cost of
-    /// coalescing.
-    pub linger_us: u64,
     /// Per-request deadline in milliseconds; a request that cannot be
     /// answered in time gets 503 rather than occupying the queue
     /// forever.
@@ -81,10 +74,9 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         // Tuned for the smoke-scale model: a 256-deep queue absorbs
-        // bursts at 500+ RPS, 64-sentence flushes keep the worker pool
-        // busy without head-of-line blocking, 500 µs linger adds well
-        // under the 2 s deadline.
-        ServeConfig { queue_capacity: 256, max_batch: 64, linger_us: 500, deadline_ms: 2_000 }
+        // bursts at 500+ RPS, and 64-sentence flushes keep the worker
+        // pool busy without head-of-line blocking.
+        ServeConfig { queue_capacity: 256, max_batch: 64, deadline_ms: 2_000 }
     }
 }
 
@@ -204,9 +196,8 @@ pub enum ConfigError {
     /// vertex range.
     ZeroShardSize,
     /// A [`ServeConfig`] knob is zero: a zero-capacity queue rejects
-    /// everything, a zero-sentence batch never flushes, a zero linger
-    /// degenerates, and a zero deadline expires every request on
-    /// arrival.
+    /// everything, a zero-sentence batch never flushes, and a zero
+    /// deadline expires every request on arrival.
     ZeroServeKnob {
         /// Which serving knob.
         name: &'static str,
@@ -313,7 +304,6 @@ impl GraphNerConfig {
         for (name, value, max) in [
             ("queue_capacity", serve.queue_capacity as u64, MAX_SERVE_QUEUE),
             ("max_batch", serve.max_batch as u64, MAX_SERVE_QUEUE),
-            ("linger_us", serve.linger_us, MAX_LINGER_US),
             ("deadline_ms", serve.deadline_ms, MAX_DEADLINE_MS),
         ] {
             if value == 0 {
@@ -468,16 +458,11 @@ mod tests {
         assert_eq!(c.serve.queue_capacity, 256);
         assert_eq!(c.serve.max_batch, 64);
         let tuned = GraphNerConfig {
-            serve: ServeConfig {
-                queue_capacity: 32,
-                max_batch: 8,
-                linger_us: 250,
-                deadline_ms: 500,
-            },
+            serve: ServeConfig { queue_capacity: 32, max_batch: 8, deadline_ms: 500 },
             ..GraphNerConfig::default()
         };
         assert_eq!(tuned.validate(), Ok(()));
-        let minimal = ServeConfig { queue_capacity: 1, max_batch: 1, linger_us: 1, deadline_ms: 1 };
+        let minimal = ServeConfig { queue_capacity: 1, max_batch: 1, deadline_ms: 1 };
         assert_eq!(validate_with(|c| c.serve = minimal), Ok(()));
     }
 
@@ -492,20 +477,8 @@ mod tests {
             Err(ConfigError::ZeroServeKnob { name: "max_batch" })
         );
         assert_eq!(
-            validate_with(|c| c.serve.linger_us = 0),
-            Err(ConfigError::ZeroServeKnob { name: "linger_us" })
-        );
-        assert_eq!(
             validate_with(|c| c.serve.deadline_ms = 0),
             Err(ConfigError::ZeroServeKnob { name: "deadline_ms" })
-        );
-        assert_eq!(
-            validate_with(|c| c.serve.linger_us = MAX_LINGER_US + 1),
-            Err(ConfigError::ServeKnobOverflow {
-                name: "linger_us",
-                value: MAX_LINGER_US + 1,
-                max: MAX_LINGER_US,
-            })
         );
         assert_eq!(
             validate_with(|c| c.serve.deadline_ms = MAX_DEADLINE_MS + 1),
@@ -524,13 +497,13 @@ mod tests {
             })
         );
         // caps themselves are accepted
-        assert_eq!(validate_with(|c| c.serve.linger_us = MAX_LINGER_US), Ok(()));
+        assert_eq!(validate_with(|c| c.serve.deadline_ms = MAX_DEADLINE_MS), Ok(()));
         // error messages name the knob
         let msg = ConfigError::ZeroServeKnob { name: "max_batch" }.to_string();
         assert!(msg.contains("max_batch"));
         let msg =
-            ConfigError::ServeKnobOverflow { name: "linger_us", value: 999, max: 10 }.to_string();
-        assert!(msg.contains("linger_us") && msg.contains("999"));
+            ConfigError::ServeKnobOverflow { name: "deadline_ms", value: 999, max: 10 }.to_string();
+        assert!(msg.contains("deadline_ms") && msg.contains("999"));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! so request `ri` receives exactly the tags positions
 //! `len(r1)+…+len(r(i-1)) .. +len(ri)` of the batch, which by the
 //! contract equal tagging `ri` alone. Batch composition therefore
-//! changes *throughput only*: any batch size, linger, or thread count
-//! yields byte-identical responses (asserted end-to-end by the
+//! changes *throughput only*: any batch size, queue timing, or thread
+//! count yields byte-identical responses (asserted end-to-end by the
 //! determinism suite).
 
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -132,34 +133,29 @@ pub struct TagRequest {
 
 /// How long the batcher sleeps per empty poll while idle. Purely a
 /// shutdown-latency knob: a closed queue wakes the batcher immediately,
-/// this poll only bounds how long a *pre-close* blocked pop lingers.
+/// this poll only bounds how long a *pre-close* blocked pop waits.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// Run the batcher loop until the queue is closed and drained.
 ///
-/// Flush policy: block for the first request, then keep popping while
-/// the coalesced batch holds fewer than `max_batch` sentences *and*
-/// `linger_us` has not elapsed since the first pop — whichever trips
-/// first flushes. A request that would carry the batch past
-/// `max_batch` still joins its flush (it was already dequeued; holding
-/// it back would reorder).
+/// Flush policy: block for the first request, then take without
+/// waiting every request already queued until the batch holds
+/// `max_batch` sentences or more, and flush. Coalescing comes from the
+/// requests that queue up while the previous batch is being tagged, so
+/// an idle server answers a lone request without any timer. A request
+/// that carries the batch past `max_batch` still joins its flush (it
+/// was already dequeued; holding it back would reorder).
 pub fn run_batcher<T: Tagger>(queue: &BoundedQueue<TagRequest>, tagger: &T, cfg: &ServeConfig) {
-    let linger = Duration::from_micros(cfg.linger_us);
     loop {
         let first = match queue.pop_timeout(IDLE_POLL) {
             PopResult::Popped(request) => request,
             PopResult::TimedOut => continue,
             PopResult::Closed => return,
         };
-        let linger_clock = Stopwatch::start();
+        let mut total = first.sentences.len();
         let mut batch = vec![first];
-        let mut total: usize = batch[0].sentences.len();
         while total < cfg.max_batch {
-            let elapsed = Duration::from_secs_f64(linger_clock.elapsed_seconds());
-            if elapsed >= linger {
-                break;
-            }
-            match queue.pop_timeout(linger - elapsed) {
+            match queue.pop_timeout(Duration::ZERO) {
                 PopResult::Popped(request) => {
                     total += request.sentences.len();
                     batch.push(request);
@@ -174,34 +170,32 @@ pub fn run_batcher<T: Tagger>(queue: &BoundedQueue<TagRequest>, tagger: &T, cfg:
 /// Tag one coalesced batch and deliver each request's slice.
 fn flush<T: Tagger>(tagger: &T, batch: Vec<TagRequest>) {
     let _s = span(SpanName::ServeBatch);
-    let mut live: Vec<TagRequest> = Vec::with_capacity(batch.len());
+    let mut all: Vec<Sentence> = Vec::with_capacity(batch.iter().map(|r| r.sentences.len()).sum());
+    // each live request's slot and its range of `all`
+    let mut live: Vec<(Arc<ResponseSlot>, Range<usize>)> = Vec::with_capacity(batch.len());
     for request in batch {
         if request.deadline.expired() {
             // answered, not dropped: the handler (or a late waiter)
             // sees an explicit Expired instead of silence
             request.slot.fill(TagResponse::Expired);
         } else {
-            live.push(request);
+            let start = all.len();
+            all.extend(request.sentences);
+            live.push((request.slot, start..all.len()));
         }
     }
     if live.is_empty() {
         return;
     }
-    let total: usize = live.iter().map(|r| r.sentences.len()).sum();
     attr("batch.requests", live.len());
-    attr("batch.sentences", total);
-    histogram("serve.batch_size").record(total as f64);
+    attr("batch.sentences", all.len());
+    histogram("serve.batch_size").record(all.len() as f64);
 
-    let mut all: Vec<Sentence> = Vec::with_capacity(total);
-    for request in &live {
-        all.extend(request.sentences.iter().cloned());
-    }
     match tagger.try_tag_batch(&all) {
         Ok(tags) => {
             let mut rest = tags.into_iter();
-            for request in live {
-                let own: Vec<Vec<BioTag>> = rest.by_ref().take(request.sentences.len()).collect();
-                request.slot.fill(TagResponse::Tags(own));
+            for (slot, range) in live {
+                slot.fill(TagResponse::Tags(rest.by_ref().take(range.len()).collect()));
             }
         }
         Err(_) => {
@@ -210,10 +204,10 @@ fn flush<T: Tagger>(tagger: &T, batch: Vec<TagRequest>) {
             // a non-finite posterior). Re-tag per request so only the
             // offender errors; the contract makes the others' tags
             // identical to their share of the failed batch.
-            for request in live {
-                match tagger.try_tag_batch(&request.sentences) {
-                    Ok(tags) => request.slot.fill(TagResponse::Tags(tags)),
-                    Err(e) => request.slot.fill(TagResponse::Error(e)),
+            for (slot, range) in live {
+                match tagger.try_tag_batch(&all[range]) {
+                    Ok(tags) => slot.fill(TagResponse::Tags(tags)),
+                    Err(e) => slot.fill(TagResponse::Error(e)),
                 }
             }
         }
@@ -223,54 +217,111 @@ fn flush<T: Tagger>(tagger: &T, batch: Vec<TagRequest>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphner_text::NUM_TAGS;
+    use graphner_text::{validate_sentences, NUM_TAGS};
 
-    /// Everything-O tagger with a per-sentence call counter.
-    struct CountingTagger {
-        calls: std::sync::atomic::AtomicUsize,
+    /// Everything-O tagger that records the sentence count of every
+    /// `try_tag_batch` call, and fails a batch holding an empty
+    /// sentence.
+    #[derive(Default)]
+    struct RecordingTagger {
+        calls: Mutex<Vec<usize>>,
     }
 
-    impl Tagger for CountingTagger {
+    impl RecordingTagger {
+        fn calls(&self) -> Vec<usize> {
+            self.calls.lock().unwrap().clone()
+        }
+    }
+
+    impl Tagger for RecordingTagger {
         fn predict(&self, sentence: &Sentence) -> Vec<BioTag> {
-            self.calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             vec![BioTag::O; sentence.len()]
         }
 
         fn posteriors(&self, sentence: &Sentence) -> Vec<[f64; NUM_TAGS]> {
             vec![[0.0, 0.0, 1.0]; sentence.len()]
         }
+
+        fn try_tag_batch(&self, sentences: &[Sentence]) -> Result<Vec<Vec<BioTag>>, TagError> {
+            self.calls.lock().unwrap().push(sentences.len());
+            validate_sentences(sentences)?;
+            Ok(sentences.iter().map(|s| self.predict(s)).collect())
+        }
     }
 
-    fn request(tokens: &[&str], budget: Duration) -> (TagRequest, Arc<ResponseSlot>) {
+    /// A request of one sentence per entry of `lengths`, each that many
+    /// tokens long.
+    fn request(lengths: &[usize], budget: Duration) -> (TagRequest, Arc<ResponseSlot>) {
         let slot = ResponseSlot::new();
         let sentences =
-            vec![Sentence::unlabelled("s", tokens.iter().map(|t| t.to_string()).collect())];
+            lengths.iter().map(|&n| Sentence::unlabelled("s", vec!["w".to_string(); n])).collect();
         (TagRequest { sentences, deadline: Deadline::new(budget), slot: Arc::clone(&slot) }, slot)
+    }
+
+    /// All-O tags for sentences of the given lengths.
+    fn all_o(lengths: &[usize]) -> TagResponse {
+        TagResponse::Tags(lengths.iter().map(|&n| vec![BioTag::O; n]).collect())
+    }
+
+    /// Queue one request per entry of `requests`, close the queue, and
+    /// run the batcher over it at `max_batch`; returns the tagger's
+    /// recorded calls and each request's response.
+    fn run_closed(requests: &[&[usize]], max_batch: usize) -> (Vec<usize>, Vec<TagResponse>) {
+        let tagger = RecordingTagger::default();
+        let queue = BoundedQueue::new(requests.len());
+        let slots: Vec<Arc<ResponseSlot>> = requests
+            .iter()
+            .map(|lengths| {
+                let (r, slot) = request(lengths, Duration::from_secs(5));
+                queue.try_push(r).unwrap();
+                slot
+            })
+            .collect();
+        queue.close();
+        let cfg = ServeConfig { max_batch, ..ServeConfig::default() };
+        run_batcher(&queue, &tagger, &cfg); // returns because closed
+        let d = Deadline::new(Duration::from_secs(1));
+        (tagger.calls(), slots.iter().map(|slot| slot.wait(&d)).collect())
     }
 
     #[test]
     fn flush_splits_the_batch_back_per_request() {
-        let tagger = CountingTagger { calls: std::sync::atomic::AtomicUsize::new(0) };
-        let (r1, s1) = request(&["a", "b"], Duration::from_secs(5));
-        let (r2, s2) = request(&["c"], Duration::from_secs(5));
+        let tagger = RecordingTagger::default();
+        let (r1, s1) = request(&[2], Duration::from_secs(5));
+        let (r2, s2) = request(&[1], Duration::from_secs(5));
         flush(&tagger, vec![r1, r2]);
         let d = Deadline::new(Duration::from_secs(1));
-        assert_eq!(s1.wait(&d), TagResponse::Tags(vec![vec![BioTag::O, BioTag::O]]));
-        assert_eq!(s2.wait(&d), TagResponse::Tags(vec![vec![BioTag::O]]));
+        assert_eq!(s1.wait(&d), all_o(&[2]));
+        assert_eq!(s2.wait(&d), all_o(&[1]));
+        assert_eq!(tagger.calls(), vec![2]);
     }
 
     #[test]
     fn expired_requests_are_answered_not_tagged() {
-        let tagger = CountingTagger { calls: std::sync::atomic::AtomicUsize::new(0) };
-        let (r1, s1) = request(&["a"], Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(2));
-        let (r2, s2) = request(&["b"], Duration::from_secs(5));
+        let tagger = RecordingTagger::default();
+        let (r1, s1) = request(&[1], Duration::ZERO);
+        let (r2, s2) = request(&[1], Duration::from_secs(5));
         flush(&tagger, vec![r1, r2]);
         let d = Deadline::new(Duration::from_secs(1));
         assert_eq!(s1.wait(&d), TagResponse::Expired);
-        assert_eq!(s2.wait(&d), TagResponse::Tags(vec![vec![BioTag::O]]));
+        assert_eq!(s2.wait(&d), all_o(&[1]));
         // only the live request's sentence was tagged
-        assert_eq!(tagger.calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert_eq!(tagger.calls(), vec![1]);
+    }
+
+    #[test]
+    fn a_failed_batch_is_re_tagged_per_request() {
+        let tagger = RecordingTagger::default();
+        let (r1, s1) = request(&[2], Duration::from_secs(5));
+        let (r2, s2) = request(&[1, 0], Duration::from_secs(5));
+        let (r3, s3) = request(&[3], Duration::from_secs(5));
+        flush(&tagger, vec![r1, r2, r3]);
+        let d = Deadline::new(Duration::from_secs(1));
+        assert_eq!(s1.wait(&d), all_o(&[2]));
+        // the error indexes the offender's own request
+        assert_eq!(s2.wait(&d), TagResponse::Error(TagError::EmptySentence { index: 1 }));
+        assert_eq!(s3.wait(&d), all_o(&[3]));
+        assert_eq!(tagger.calls(), vec![4, 1, 2, 1]);
     }
 
     #[test]
@@ -295,14 +346,29 @@ mod tests {
 
     #[test]
     fn batcher_drains_then_exits_on_close() {
-        let tagger = CountingTagger { calls: std::sync::atomic::AtomicUsize::new(0) };
-        let queue = BoundedQueue::new(8);
-        let (r1, s1) = request(&["a"], Duration::from_secs(5));
-        queue.try_push(r1).unwrap();
-        queue.close();
-        let cfg = ServeConfig::default();
-        run_batcher(&queue, &tagger, &cfg); // returns because closed
-        let d = Deadline::new(Duration::from_secs(1));
-        assert_eq!(s1.wait(&d), TagResponse::Tags(vec![vec![BioTag::O]]));
+        let (calls, responses) = run_closed(&[&[1]], ServeConfig::default().max_batch);
+        assert_eq!(calls, vec![1]);
+        assert_eq!(responses, vec![all_o(&[1])]);
+    }
+
+    #[test]
+    fn requests_already_queued_are_tagged_in_one_call() {
+        let (calls, responses) = run_closed(&[&[1], &[2], &[1, 3]], 64);
+        assert_eq!(calls, vec![4]);
+        assert_eq!(responses, vec![all_o(&[1]), all_o(&[2]), all_o(&[1, 3])]);
+    }
+
+    #[test]
+    fn max_batch_caps_each_flush() {
+        let (calls, responses) = run_closed(&[&[1], &[1], &[1]], 2);
+        assert_eq!(calls, vec![2, 1]);
+        assert_eq!(responses, vec![all_o(&[1]); 3]);
+    }
+
+    #[test]
+    fn the_request_that_crosses_max_batch_joins_the_flush() {
+        let (calls, responses) = run_closed(&[&[1], &[1, 1, 1], &[1]], 2);
+        assert_eq!(calls, vec![4, 1]);
+        assert_eq!(responses, vec![all_o(&[1]), all_o(&[1, 1, 1]), all_o(&[1])]);
     }
 }

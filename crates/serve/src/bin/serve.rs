@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! graphner-serve [--addr 127.0.0.1:8080] [--scale 0.02] [--seed 42]
-//!                [--queue-capacity N] [--max-batch N]
-//!                [--linger-us N] [--deadline-ms N]
+//!                [--queue-capacity N] [--max-batch N] [--deadline-ms N]
 //! ```
 //!
 //! Endpoints: `POST /v1/tag` (newline-delimited sentences in,
@@ -32,7 +31,6 @@ struct Args {
     scale: f64,
     queue_capacity: Option<usize>,
     max_batch: Option<usize>,
-    linger_us: Option<u64>,
     deadline_ms: Option<u64>,
 }
 
@@ -42,7 +40,6 @@ fn parse_args() -> Args {
         scale: 0.02,
         queue_capacity: None,
         max_batch: None,
-        linger_us: None,
         deadline_ms: None,
     };
     let args: Vec<String> = std::env::args().collect();
@@ -66,10 +63,6 @@ fn parse_args() -> Args {
                 i += 1;
                 parsed.max_batch = Some(args[i].parse().expect("--max-batch needs a count"));
             }
-            "--linger-us" => {
-                i += 1;
-                parsed.linger_us = Some(args[i].parse().expect("--linger-us needs microseconds"));
-            }
             "--deadline-ms" => {
                 i += 1;
                 parsed.deadline_ms =
@@ -91,7 +84,6 @@ fn main() {
     let serve = &mut cfg.serve;
     serve.queue_capacity = args.queue_capacity.unwrap_or(serve.queue_capacity);
     serve.max_batch = args.max_batch.unwrap_or(serve.max_batch);
-    serve.linger_us = args.linger_us.unwrap_or(serve.linger_us);
     serve.deadline_ms = args.deadline_ms.unwrap_or(serve.deadline_ms);
     if let Err(e) = cfg.validate() {
         eprintln!("graphner-serve: invalid configuration: {e}");
@@ -113,8 +105,8 @@ fn main() {
     });
     println!("graphner-serve: listening on http://{}", handle.addr());
     println!(
-        "graphner-serve: queue {} / batch {} / linger {} us / deadline {} ms",
-        cfg.serve.queue_capacity, cfg.serve.max_batch, cfg.serve.linger_us, cfg.serve.deadline_ms
+        "graphner-serve: queue {} / batch {} / deadline {} ms",
+        cfg.serve.queue_capacity, cfg.serve.max_batch, cfg.serve.deadline_ms
     );
     // serve until killed
     loop {

@@ -111,9 +111,7 @@ fn read_line(reader: &mut impl BufRead, what: &'static str) -> Result<String, Ht
     while line.ends_with(b"\n") || line.ends_with(b"\r") {
         line.pop();
     }
-    String::from_utf8(line).map_err(|_| {
-        HttpError::Io(io::Error::new(io::ErrorKind::InvalidData, "request head is not UTF-8"))
-    })
+    String::from_utf8(line).map_err(|_| HttpError::Malformed("request head is not UTF-8"))
 }
 
 /// Parse one request off the wire. Blocks until a full request (or the
@@ -249,6 +247,10 @@ mod tests {
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\nContent-Length: pony\r\n\r\n"),
             Err(HttpError::Malformed(_))
+        ));
+        assert!(matches!(
+            parse(b"GET /\xff HTTP/1.1\r\n\r\n"),
+            Err(HttpError::Malformed("request head is not UTF-8"))
         ));
     }
 

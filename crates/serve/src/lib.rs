@@ -14,8 +14,9 @@
 //! * [`queue`] — a bounded MPSC queue: `try_push` rejects when full
 //!   (429 + `Retry-After`) instead of buffering unboundedly.
 //! * [`batcher`] — one thread coalescing concurrent requests into
-//!   single `try_tag_batch` calls, flushing on max-batch-size or
-//!   max-linger, answering expired requests with 503. Batching is
+//!   single `try_tag_batch` calls: each flush takes every request
+//!   already queued, up to the max batch size, without waiting for
+//!   more, and expired requests are answered with 503. Batching is
 //!   *provably invisible*: responses are byte-identical to unbatched
 //!   tagging at any batch size or thread count (see the module docs
 //!   for the ordering argument, and the determinism suite for the

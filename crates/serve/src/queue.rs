@@ -43,7 +43,8 @@ struct QueueState<T> {
 }
 
 /// The bounded MPSC queue. `try_push` never blocks; `pop_timeout`
-/// blocks up to a caller-chosen linger. Close wakes every waiter.
+/// blocks up to a caller-chosen timeout (zero takes only what is
+/// already queued). Close wakes every waiter.
 pub struct BoundedQueue<T> {
     state: Mutex<QueueState<T>>,
     not_empty: Condvar,

@@ -297,10 +297,12 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
                 return;
             }
             Err(HttpError::Malformed(what)) => {
+                // where the next request starts is unknown, so the
+                // stream cannot be resynchronised: answer and close
                 let _ = write_response(
                     &mut writer,
                     400,
-                    &[],
+                    &[("Connection", "close")],
                     format!("malformed request: {what}\n").as_bytes(),
                 );
                 return;
@@ -480,6 +482,21 @@ mod tests {
         let text = String::from_utf8(raw).unwrap();
         assert!(text.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"), "{text}");
         assert!(text.contains("Connection: close\r\n"), "{text}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn non_utf8_request_head_gets_400_and_the_connection_closes() {
+        let server = start(AllO, ServeConfig::default(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(b"GET /\xff HTTP/1.1\r\n\r\n").unwrap();
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let text = String::from_utf8(raw).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{text}");
+        assert!(text.contains("Connection: close\r\n"), "{text}");
+        assert!(text.ends_with("malformed request: request head is not UTF-8\n"), "{text}");
         server.shutdown();
     }
 

@@ -3,11 +3,11 @@
 //! The batcher coalesces concurrent requests into single
 //! `try_tag_batch` calls, so the contract to verify is that a response
 //! from the server is **byte-identical** to one offline call over
-//! the same parsed sentences — at any `max_batch`, any linger window,
-//! and any worker pool size. The child half trains one smoke model,
-//! serves it at `max_batch` 1, 7, and the default 64, drives
-//! concurrent clients against each, and checks every response against
-//! the offline rendering; the parent re-runs the whole thing under
+//! the same parsed sentences — at any `max_batch`, any batch
+//! composition, and any worker pool size. The child half trains one
+//! smoke model, serves it at `max_batch` 1, 7, and the default 64,
+//! drives concurrent clients against each, and checks every response
+//! against the offline rendering; the parent re-runs the whole thing under
 //! `GRAPHNER_THREADS=1` and `4` and compares the canonical dumps
 //! byte-for-byte.
 
@@ -97,8 +97,8 @@ fn serve_dump() -> String {
         let handle = start(tagger, cfg.serve, "127.0.0.1:0").expect("start in-process server");
         let addr = handle.addr();
 
-        // 4 concurrent clients × 3 requests each so the linger window
-        // actually coalesces requests at max_batch > 1
+        // 4 concurrent clients × 3 requests each, so requests that queue
+        // up while a batch is being tagged coalesce at max_batch > 1
         let responses: Vec<(usize, String)> = std::thread::scope(|scope| {
             let mut workers = Vec::new();
             for client in 0..4usize {
