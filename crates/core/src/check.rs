@@ -1,10 +1,10 @@
 //! Debug-mode numeric guards — the runtime counterpart of the static
-//! policy checks (clippy's workspace lints, `float_cmp` among them, and
-//! the `graphner-audit` hot-path test).
+//! policy checks (clippy's workspace lints, `float_cmp` among them).
 //!
-//! Clippy and the audit enforce what the *source* must look like; this
-//! module enforces what the *numbers* must look like while the pipeline
-//! runs. Every guard returns immediately in release builds
+//! Clippy enforces what the *source* must look like, and the hot-path
+//! allocation pins (`tests/hot_allocs.rs`) what the hot paths may
+//! allocate; this module enforces what the *numbers* must look like
+//! while the pipeline runs. Every guard returns immediately in release builds
 //! (`cfg!(debug_assertions)` is const-folded to `false`), so the
 //! configurations the paper's tables are produced with pay nothing,
 //! while every `cargo test` run (debug profile) sweeps the full guard

@@ -246,16 +246,12 @@ pub fn viterbi_tags(
         return Vec::new();
     }
     const FLOOR: f64 = 1e-300;
-    let log_trans: Vec<[f64; NUM_TAGS]> = trans
-        .iter()
-        .map(|row| {
-            let mut r = [0.0; NUM_TAGS];
-            for (o, &p) in r.iter_mut().zip(row) {
-                *o = p.max(FLOOR).ln();
-            }
-            r
-        })
-        .collect();
+    let mut log_trans = [[0.0; NUM_TAGS]; NUM_TAGS];
+    for (r, row) in log_trans.iter_mut().zip(trans) {
+        for (o, &p) in r.iter_mut().zip(row) {
+            *o = p.max(FLOOR).ln();
+        }
+    }
     let mut delta = vec![[0.0f64; NUM_TAGS]; l];
     let mut back = vec![[0u8; NUM_TAGS]; l];
     for y in 0..NUM_TAGS {

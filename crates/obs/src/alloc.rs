@@ -2,29 +2,36 @@
 //!
 //! With the `obs-alloc` cargo feature enabled, this module installs a
 //! zero-dependency [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper
-//! around [`System`](std::alloc::System) that maintains two
+//! around [`System`](std::alloc::System) that maintains three
 //! process-wide registers:
 //!
 //! * **current** — live heap bytes (allocations minus deallocations);
 //! * **peak** — high-water mark of *current* since process start or
-//!   the last [`reset_peak`] call.
+//!   the last [`reset_peak`] call;
+//! * **allocations** — allocator calls that hand out memory (`alloc`,
+//!   `alloc_zeroed`, `realloc`) since process start. Frees are not
+//!   counted, and an empty `Vec::new()` never reaches the allocator.
 //!
 //! The read API ([`enabled`], [`current_bytes`], [`peak_bytes`],
-//! [`reset_peak`]) exists unconditionally so call sites need no `cfg`
-//! guards: without the feature every read returns zero and
-//! [`enabled`] returns `false`.
+//! [`allocations`], [`reset_peak`]) exists unconditionally so call
+//! sites need no `cfg` guards: without the feature every read returns
+//! zero and [`enabled`] returns `false`.
 //!
 //! Span integration: when the feature is on, every [`span`](crate::span())
 //! guard snapshots the registers at entry and attaches `mem.net_bytes`
-//! (signed live-byte delta) and `mem.peak_bytes` (peak-watermark
-//! advance over the entry level) to its [`crate::SpanRecord`] on drop.
+//! (signed live-byte delta), `mem.peak_bytes` (peak-watermark advance
+//! over the entry level) and `mem.allocs` (allocation-count advance)
+//! to its [`crate::SpanRecord`] on drop.
 //! Under concurrency these are *process-wide* numbers — allocations
 //! from other threads during the span are included — so treat them as
 //! stage-level accounting (the perfsuite benchmarks run stages on one
 //! thread with the pool quiesced between measurements), not as exact
 //! per-callsite attribution.
 //!
-//! The accounting itself is two relaxed atomic RMWs per allocation —
+//! The allocation count is exact for a single-threaded caller, so
+//! `tests/hot_allocs.rs` pins each hot path's count on fixed inputs.
+//!
+//! The accounting itself is three relaxed atomic RMWs per allocation —
 //! cheap enough to leave on for benchmarking runs, but the feature
 //! stays off by default so the hot paths of ordinary builds pay
 //! nothing.
@@ -35,6 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`CURRENT`] since start or last [`reset_peak`].
 static PEAK: AtomicU64 = AtomicU64::new(0);
+/// Allocator calls that handed out memory since process start.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Whether the counting allocator is installed (the `obs-alloc`
 /// feature). When `false`, all reads in this module return zero.
@@ -53,27 +62,40 @@ pub fn peak_bytes() -> u64 {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since process
+/// start (0 without `obs-alloc`). Process-wide: the difference of two
+/// reads counts every thread's allocations in between.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
 /// Reset the peak register to the current live-byte level, so the next
 /// [`peak_bytes`] reading reflects only allocation since this call.
 pub fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// One snapshot of both registers, taken by span guards at entry.
+/// One snapshot of the registers, taken by span guards at entry.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AllocSnapshot {
     pub(crate) current: u64,
     pub(crate) peak: u64,
+    pub(crate) allocations: u64,
 }
 
 pub(crate) fn snapshot() -> AllocSnapshot {
-    AllocSnapshot { current: current_bytes(), peak: peak_bytes() }
+    AllocSnapshot { current: current_bytes(), peak: peak_bytes(), allocations: allocations() }
 }
 
 impl AllocSnapshot {
     /// Signed live-byte delta from this snapshot to now.
     pub(crate) fn net_bytes(&self) -> i64 {
         current_bytes() as i64 - self.current as i64
+    }
+
+    /// Allocator calls from this snapshot to now.
+    pub(crate) fn allocs(&self) -> u64 {
+        allocations().saturating_sub(self.allocations)
     }
 
     /// Peak bytes held above the entry level while the span ran. When
@@ -92,11 +114,11 @@ impl AllocSnapshot {
 
 #[cfg(feature = "obs-alloc")]
 mod install {
-    use super::{CURRENT, PEAK};
+    use super::{ALLOCATIONS, CURRENT, PEAK};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::Ordering;
 
-    /// [`System`] plus the current/peak registers.
+    /// [`System`] plus the current/peak/allocations registers.
     struct CountingAlloc;
 
     fn add(n: u64) {
@@ -121,6 +143,7 @@ mod install {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             let p = System.alloc(layout);
             if !p.is_null() {
+                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
                 add(layout.size() as u64);
             }
             p
@@ -130,6 +153,7 @@ mod install {
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             let p = System.alloc_zeroed(layout);
             if !p.is_null() {
+                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
                 add(layout.size() as u64);
             }
             p
@@ -147,6 +171,7 @@ mod install {
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             let p = System.realloc(ptr, layout, new_size);
             if !p.is_null() {
+                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
                 let old = layout.size() as u64;
                 let new = new_size as u64;
                 if new >= old {
@@ -171,14 +196,20 @@ mod tests {
     fn reads_are_consistent_with_feature_state() {
         if enabled() {
             // exact levels race with concurrent test threads, so only
-            // liveness is asserted: the registers move at all
+            // liveness is asserted: the registers move at all, and the
+            // count only grows, so this thread's allocation advances it
+            let before = allocations();
             let block: Vec<u8> = Vec::with_capacity(1 << 16);
             assert!(current_bytes() > 0);
             assert!(peak_bytes() > 0);
+            assert!(allocations() > before);
             drop(block);
         } else {
             assert_eq!(current_bytes(), 0);
             assert_eq!(peak_bytes(), 0);
+            let block: Vec<u8> = Vec::with_capacity(1 << 16);
+            assert_eq!(allocations(), 0);
+            drop(block);
         }
     }
 
@@ -189,9 +220,12 @@ mod tests {
         // exact values race with concurrent test threads; the
         // invariants that must hold regardless: peak deltas never go
         // negative (u64) and the disabled registers never move
-        if !enabled() {
+        if enabled() {
+            assert!(snap.allocs() > 0);
+        } else {
             assert_eq!(snap.peak_delta_bytes(), 0);
             assert_eq!(snap.net_bytes(), 0);
+            assert_eq!(snap.allocs(), 0);
         }
         let _ = (snap.peak_delta_bytes(), snap.net_bytes()); // must not panic
         drop(block);

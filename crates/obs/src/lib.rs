@@ -24,9 +24,10 @@
 //!   JSON that Perfetto opens directly; a deterministic logical clock
 //!   makes identical runs export byte-identical traces.
 //! * [`alloc`] — a counting global allocator behind the `obs-alloc`
-//!   cargo feature; when enabled, span guards attach `mem.net_bytes`
-//!   and `mem.peak_bytes` to their records, and `current_bytes`/
-//!   `peak_bytes`/`reset_peak` expose process-wide heap registers.
+//!   cargo feature; when enabled, span guards attach `mem.net_bytes`,
+//!   `mem.peak_bytes` and `mem.allocs` to their records, and
+//!   `current_bytes`/`peak_bytes`/`allocations`/`reset_peak` expose
+//!   process-wide heap registers.
 //!
 //! The layer is hand-rolled rather than built on `tracing` +
 //! `metrics`-style crates deliberately: the repo builds fully offline

@@ -347,6 +347,7 @@ impl Drop for SpanGuard {
         if crate::alloc::enabled() {
             attrs.push(("mem.net_bytes", AttrValue::I64(self.alloc.net_bytes())));
             attrs.push(("mem.peak_bytes", AttrValue::U64(self.alloc.peak_delta_bytes())));
+            attrs.push(("mem.allocs", AttrValue::U64(self.alloc.allocs())));
         }
         let record = SpanRecord {
             name: self.name,
@@ -596,5 +597,11 @@ mod tests {
         let s = spans.iter().find(|s| s.name == "graph.mi_filter").unwrap();
         assert_eq!(s.attr("mem.net_bytes").is_some(), crate::alloc::enabled());
         assert_eq!(s.attr("mem.peak_bytes").is_some(), crate::alloc::enabled());
+        match s.attr("mem.allocs") {
+            // the count only grows, so the span's own vec! is in it
+            Some(AttrValue::U64(n)) => assert!(crate::alloc::enabled() && *n >= 1, "{n}"),
+            None => assert!(!crate::alloc::enabled()),
+            other => panic!("mem.allocs is a count: {other:?}"),
+        }
     }
 }

@@ -271,7 +271,14 @@ fn handle_connection(stream: TcpStream, ctx: &Ctx) {
             }
             Err(HttpError::Io(_)) => return,
             Err(HttpError::BodyTooLarge(_)) => {
-                let _ = write_response(&mut writer, 413, &[], b"request body too large\n");
+                // the body is unread, so the stream cannot be
+                // resynchronised: answer and close
+                let _ = write_response(
+                    &mut writer,
+                    413,
+                    &[("Connection", "close")],
+                    b"request body too large\n",
+                );
                 return;
             }
             Err(HttpError::TransferEncoding) => {

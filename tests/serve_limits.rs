@@ -1,7 +1,8 @@
 //! Request-head caps and read timeouts over a real socket: a client
 //! that sends too many header lines, or one header line longer than
 //! the cap, gets 431 and a closed connection, and the server goes on
-//! answering other clients; a request that stalls part-way gets 408
+//! answering other clients; a body declared larger than the cap gets
+//! 413 and a closed connection; a request that stalls part-way gets 408
 //! and a closed connection, while a pause between requests does not.
 
 #![allow(
@@ -110,6 +111,19 @@ fn oversized_request_heads_get_431_and_the_server_keeps_serving() {
     let sentences = parse_tag_body(body.as_bytes()).unwrap();
     let expected = render_tags(&sentences, &AllOutside.try_tag_batch(&sentences).unwrap());
     assert!(response.ends_with(&format!("\r\n\r\n{expected}")), "{response}");
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_body_gets_413_and_the_connection_closes() {
+    let server = start(AllOutside, ServeConfig::default(), "127.0.0.1:0").unwrap();
+    // the declared body is never sent: the server refuses it from the
+    // head alone and must say that it hangs up
+    let response =
+        exchange(server.addr(), b"POST /v1/tag HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n");
+    assert!(response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"), "{response}");
+    assert!(response.contains("Connection: close\r\n"), "{response}");
+    assert!(response.ends_with("request body too large\n"), "{response}");
     server.shutdown();
 }
 
