@@ -1,8 +1,8 @@
 //! Span capture must stay deterministic while the rayon pool records
 //! spans concurrently. This binary pins `GRAPHNER_THREADS=4` before
-//! first pool use so the vendored worker pool runs genuinely parallel
-//! even on single-core CI runners: `with_capture` must keep filtering
-//! worker spans out, `with_capture_all` must see them.
+//! first pool use so every job spawns scoped helper threads even on
+//! single-core CI runners: `with_capture` must keep filtering helper
+//! spans out, `with_capture_all` must see them.
 
 use graphner_obs::span::{span, with_capture, with_capture_all, SpanName};
 use rayon::prelude::*;

@@ -149,13 +149,21 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, HttpError> {
     if request.header("transfer-encoding").is_some() {
         return Err(HttpError::TransferEncoding);
     }
-    let content_length = match request.header("content-length") {
-        None => 0,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => return Err(HttpError::Malformed("unparseable content-length")),
-        },
-    };
+    // Every `Content-Length` must be `1*DIGIT` (`usize::parse` alone
+    // also takes a `+`), and repeats must agree: a body length the
+    // parser and a peer could read differently desyncs keep-alive.
+    let mut content_length = None;
+    for (_, value) in request.headers.iter().filter(|(name, _)| name == "content-length") {
+        let n = match value.parse::<usize>() {
+            Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+            _ => return Err(HttpError::Malformed("unparseable content-length")),
+        };
+        if content_length.is_some_and(|seen| seen != n) {
+            return Err(HttpError::Malformed("conflicting content-length headers"));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge(content_length));
     }
@@ -252,6 +260,19 @@ mod tests {
             parse(b"GET /\xff HTTP/1.1\r\n\r\n"),
             Err(HttpError::Malformed("request head is not UTF-8"))
         ));
+    }
+
+    #[test]
+    fn content_length_must_be_digits_and_agree() {
+        let with = |lengths: &[&str]| {
+            let headers: String =
+                lengths.iter().map(|v| format!("Content-Length: {v}\r\n")).collect();
+            parse(format!("POST / HTTP/1.1\r\n{headers}\r\nthe WT1 gene").as_bytes())
+        };
+        assert!(matches!(with(&["6", "31"]), Err(HttpError::Malformed(_))));
+        assert!(matches!(with(&["+6"]), Err(HttpError::Malformed(_))));
+        assert!(matches!(with(&["6", "+6"]), Err(HttpError::Malformed(_))));
+        assert_eq!(with(&["6", "6"]).unwrap().body, b"the WT");
     }
 
     #[test]

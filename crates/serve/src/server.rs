@@ -16,7 +16,7 @@
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -131,7 +131,6 @@ pub struct ServerHandle {
     ctx: Arc<Ctx>,
     acceptor: Option<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl ServerHandle {
@@ -140,8 +139,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting, drain the queue, and join every thread.
-    /// In-flight requests are answered before the batcher exits.
+    /// Stop accepting, drain the queue, and join every thread: the
+    /// acceptor returns once every handler has exited, and the batcher
+    /// is joined last, so in-flight requests are answered.
     pub fn shutdown(mut self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         self.ctx.queue.close();
@@ -153,16 +153,6 @@ impl ServerHandle {
         }
         if let Some(batcher) = self.batcher.take() {
             let _ = batcher.join();
-        }
-        let handles = {
-            let mut connections = match self.connections.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            std::mem::take(&mut *connections)
-        };
-        for handle in handles {
-            let _ = handle.join();
         }
     }
 }
@@ -183,7 +173,6 @@ pub fn start<T: Tagger + Send + Sync + 'static>(
         shutdown: AtomicBool::new(false),
         uptime: Stopwatch::start(),
     });
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let batcher_ctx = Arc::clone(&ctx);
     let batcher = std::thread::spawn(move || {
@@ -191,33 +180,22 @@ pub fn start<T: Tagger + Send + Sync + 'static>(
     });
 
     let acceptor_ctx = Arc::clone(&ctx);
-    let acceptor_connections = Arc::clone(&connections);
     let acceptor = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if acceptor_ctx.shutdown.load(Ordering::SeqCst) {
-                return;
+        let ctx = &*acceptor_ctx;
+        // handlers are scoped to the acceptor: it returns only once
+        // every one of them has exited
+        std::thread::scope(|scope| {
+            for stream in listener.incoming() {
+                if ctx.shutdown.load(Ordering::SeqCst) {
+                    return;
+                }
+                let Ok(stream) = stream else { continue };
+                scope.spawn(move || handle_connection(stream, ctx));
             }
-            let Ok(stream) = stream else { continue };
-            let conn_ctx = Arc::clone(&acceptor_ctx);
-            let handle = std::thread::spawn(move || handle_connection(stream, &conn_ctx));
-            let mut handles = match acceptor_connections.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            // joined handles accumulate until shutdown; a long-lived
-            // server sheds the finished ones here
-            handles.retain(|h| !h.is_finished());
-            handles.push(handle);
-        }
+        });
     });
 
-    Ok(ServerHandle {
-        addr: local_addr,
-        ctx,
-        acceptor: Some(acceptor),
-        batcher: Some(batcher),
-        connections,
-    })
+    Ok(ServerHandle { addr: local_addr, ctx, acceptor: Some(acceptor), batcher: Some(batcher) })
 }
 
 /// Serve one connection until the peer closes, an error, or shutdown.

@@ -9,10 +9,11 @@
 //! behind a call, however deep, so a `format!` in the featurizer counts
 //! against `try_tag_batch` like one in its own body.
 //!
-//! The counter is process-wide and the worker pool allocates per
-//! thread, so each counting test runs alone in a child process with
-//! `GRAPHNER_THREADS=1` and `GRAPHNER_LOG=off`, re-executed the way
-//! `tests/determinism.rs` does it.
+//! The counter is process-wide and a parallel job spawns and joins
+//! helper threads, which allocate, so each counting test runs alone in
+//! a child process with `GRAPHNER_THREADS=1` (every job inline) and
+//! `GRAPHNER_LOG=off`, re-executed the way `tests/determinism.rs` does
+//! it.
 //!
 //! A pin that moves is a finding either way: a drop is a saving to
 //! re-pin, a rise is an allocation a hot path gained. Beside the pins,

@@ -1,15 +1,20 @@
-//! Worker-pool contract tests against the vendored `rayon` shim.
+//! Pool contract tests against the vendored `rayon` shim.
 //!
 //! The pool's determinism argument (DESIGN.md §10) rests on two
 //! properties checked here from outside the crate: chunk boundaries
 //! are a pure function of input length, and the two terminal
 //! operations keep to source order: `collect` concatenates chunks in
 //! index order, and `for_each` over `par_iter_mut` writes each slot
-//! exactly once.
+//! exactly once. On Linux a child process also checks that no helper
+//! thread outlives the job that spawned it.
 
 #![allow(
     clippy::disallowed_methods,
     reason = "the pool suite observes the worker count it is testing"
+)]
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions fail the test by panicking"
 )]
 
 use proptest::prelude::*;
@@ -34,6 +39,55 @@ fn pool_reports_at_least_one_thread() {
     assert!(rayon::current_num_threads() >= 1);
     let stats = rayon::pool_stats();
     assert_eq!(stats.threads, rayon::current_num_threads());
+}
+
+/// Child half of the thread-lifetime check: the process's live thread
+/// count, from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn live_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("Threads: line");
+    line.trim().parse().expect("numeric thread count")
+}
+
+/// Child half: a parallel `collect` leaves the live thread count where
+/// it found it, so no helper outlives its job.
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "run in a child process by no_helper_thread_outlives_its_job"]
+fn child_collect_leaves_no_thread_behind() {
+    let before = live_threads();
+    let items: Vec<usize> = (0..256usize).into_par_iter().map(|i| i + 1).collect();
+    assert_eq!(items.len(), 256);
+    // the kernel wakes a joiner just before it drops the exited thread
+    // from the count, so allow the count a moment to settle
+    let mut after = live_threads();
+    for _ in 0..1000 {
+        if after == before {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        after = live_threads();
+    }
+    assert_eq!(after, before, "a helper thread outlived its job");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn no_helper_thread_outlives_its_job() {
+    let exe = std::env::current_exe().expect("test executable path");
+    let output = std::process::Command::new(&exe)
+        .args(["child_collect_leaves_no_thread_behind", "--exact", "--ignored"])
+        .args(["--test-threads", "1"])
+        .env(rayon::THREADS_ENV, "4")
+        .output()
+        .expect("spawn child test process");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success() && stdout.contains("1 passed"),
+        "child failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
 
 proptest! {

@@ -2,8 +2,10 @@
 //! that sends too many header lines, or one header line longer than
 //! the cap, gets 431 and a closed connection, and the server goes on
 //! answering other clients; a body declared larger than the cap gets
-//! 413 and a closed connection; a request that stalls part-way gets 408
-//! and a closed connection, while a pause between requests does not.
+//! 413 and a closed connection; conflicting `Content-Length` headers
+//! get one 400 and a closed connection; a request that stalls part-way
+//! gets 408 and a closed connection, while a pause between requests
+//! does not.
 
 #![allow(
     clippy::expect_used,
@@ -124,6 +126,24 @@ fn an_oversized_body_gets_413_and_the_connection_closes() {
     assert!(response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"), "{response}");
     assert!(response.contains("Connection: close\r\n"), "{response}");
     assert!(response.ends_with("request body too large\n"), "{response}");
+    server.shutdown();
+}
+
+#[test]
+fn conflicting_content_lengths_get_one_400_and_the_connection_closes() {
+    let server = start(AllOutside, ServeConfig::default(), "127.0.0.1:0").unwrap();
+    // read with the first length, the body's tail is a request of its
+    // own; one 400 and a close is the only answer that cannot desync
+    let smuggled = "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+    let body = format!("the WT{smuggled}");
+    let request = format!(
+        "POST /v1/tag HTTP/1.1\r\nContent-Length: 6\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let response = exchange(server.addr(), request.as_bytes());
+    assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+    assert!(response.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{response}");
+    assert!(response.contains("Connection: close\r\n"), "{response}");
     server.shutdown();
 }
 
